@@ -4,8 +4,9 @@ Every subcommand is a thin adapter over the library; its verdict is the
 library call's verdict.  Exit codes: 0 for success or a positive
 verdict, 1 for a well-formed negative verdict (so shell pipelines can
 branch on mathematical outcomes), 2 for parse or validation problems
-with the inputs.  ``--json`` writes a machine report whose content
-depends only on the subcommand arguments, never on the report path.
+with the inputs, 3 for an internal error (a crash is never a verdict).
+``--json`` writes a machine report whose content depends only on the
+subcommand arguments, never on the report path.
 """
 
 from __future__ import annotations
@@ -442,6 +443,10 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"input error: {err}")
         return 2
+    except Exception as err:
+        detail = " ".join(f"{type(err).__name__}: {err}".split())
+        print(f"internal error: {detail}", file=sys.stderr)
+        return 3
     print(text)
     if args.json:
         payload = {"command": echoed, "exit": code, "report": report}

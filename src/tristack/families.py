@@ -21,7 +21,9 @@ exactly that reason.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,39 +80,63 @@ class BaseGraph:
     def __init__(self, vertices, edges):
         self.vertices = tuple(sorted(vertices))
         self.edges = {e.id: e for e in sorted(edges, key=lambda e: e.id)}
+        # incident ends per vertex, in (edge id, end) order
+        self._ends = {v: [] for v in self.vertices}
         for e in self.edges.values():
-            if e.frm not in self.vertices or e.to not in self.vertices:
+            if e.frm not in self._ends or e.to not in self._ends:
                 raise FamilyError(f"edge {e.id} has unknown endpoint")
+            self._ends[e.frm].append((e.id, "from"))
+            self._ends[e.to].append((e.id, "to"))
 
     def incident_ends(self, v):
-        """(edge id, end) pairs at v; a loop contributes both ends."""
-        out = []
-        for e in self.edges.values():
-            if e.frm == v:
-                out.append((e.id, "from"))
-            if e.to == v:
-                out.append((e.id, "to"))
-        return out
+        """(edge id, end) pairs at v in that order; a loop contributes both ends."""
+        return list(self._ends.get(v, ()))
 
-    def components(self):
-        seen, comps = set(), []
-        adj = {v: set() for v in self.vertices}
-        for e in self.edges.values():
-            adj[e.frm].add(e.to)
-            adj[e.to].add(e.frm)
-        for v in self.vertices:
-            if v in seen:
-                continue
-            comp, stack = [], [v]
-            while stack:
-                u = stack.pop()
-                if u in seen:
+    # -- group labels along a spanning forest --------------------------------
+    # ``push(eid, end, label)`` is the label an edge forces on the vertex
+    # across it from the vertex at ``end`` labelled ``label``, or None when
+    # the edge admits none.  Orientability, family isomorphism, torsor
+    # triviality and gauge isomorphism are all switching problems on such
+    # voltage graphs: fix a label at a root, propagate it along a spanning
+    # tree, check the remaining edges.
+
+    def spread(self, root, value, push):
+        """Label root's component breadth first, ends in (edge id, end) order.
+
+        Returns the labels in visiting order and the tree as
+        ``parent[v] = (u, eid, end)`` (None at the root), or None as soon
+        as a tree edge admits no label.
+        """
+        labels, parent = {root: value}, {root: None}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for eid, end in self._ends[u]:
+                e = self.edges[eid]
+                other = e.to if end == "from" else e.frm
+                if other in labels:
                     continue
-                seen.add(u)
-                comp.append(u)
-                stack.extend(adj[u] - seen)
-            comps.append(sorted(comp))
-        return comps
+                label = push(eid, end, labels[u])
+                if label is None:
+                    return None
+                labels[other] = label
+                parent[other] = (u, eid, end)
+                queue.append(other)
+        return labels, parent
+
+    def open_edges(self, labels, push):
+        """Ids, in no particular order, of the edges at the labelled vertices left open."""
+        for v, label in labels.items():
+            for eid, end in self._ends[v]:
+                if end == "from" and push(eid, end, label) != labels[self.edges[eid].to]:
+                    yield eid
+
+    def labellings(self, root, values, push):
+        """Labellings of root's component closing every edge, one per root value, in order."""
+        for value in values:
+            spread = self.spread(root, value, push)
+            if spread is not None and next(self.open_edges(spread[0], push), None) is None:
+                yield spread[0]
 
     def __eq__(self, other):
         return (
@@ -135,7 +161,7 @@ def graph(vertices, edges) -> BaseGraph:
 def make_chart(points) -> tuple:
     out = []
     for t, v in points:
-        t = Fraction(t)
+        t = t if type(t) is Fraction else Fraction(t)
         if not isinstance(v, TriangleLengths):
             v = TriangleLengths(*v)
         out.append((t, v))
@@ -221,8 +247,12 @@ def validate_family(raw) -> PLFamily:
     edges with charts and glue labels).
     """
     if isinstance(raw, dict):
-        raw = family_from_json(raw)
-    fam: PLFamily = raw
+        return family_from_json(raw)
+    return _checked(raw, charts_built=False)
+
+
+def _checked(fam: PLFamily, charts_built: bool) -> PLFamily:
+    """validate_family's checks; ``charts_built`` skips re-running make_chart."""
     for v in fam.base.vertices:
         if v not in fam.vertex_lengths:
             raise FamilyError(f"vertex {v} has no fiber")
@@ -232,7 +262,8 @@ def validate_family(raw) -> PLFamily:
         chart = fam.charts.get(eid)
         if chart is None:
             raise FamilyError(f"edge {eid} has no chart")
-        make_chart(chart)  # re-checks shape; values are TriangleLengths already
+        if not charts_built:
+            make_chart(chart)  # re-checks shape; values are TriangleLengths already
         for g in (fam.glue_from[eid], fam.glue_to[eid]):
             if g not in PERMS:
                 raise FamilyError(f"edge {eid} glue {g} is not a permutation label")
@@ -260,7 +291,7 @@ def family(base: BaseGraph, vertex_lengths, charts, glue_from=None, glue_to=None
         except NotInM as err:
             raise FiberNotInM((e, c)) from err
     built = PLFamily(base, vl, built_charts, dict(glue_from), dict(glue_to))
-    return validate_family(built)
+    return _checked(built, charts_built=True)
 
 
 def constant_family(base: BaseGraph, fiber) -> PLFamily:
@@ -573,51 +604,46 @@ def edge_transport(fam: PLFamily, eid: str) -> str:
     return compose(fam.glue_to[eid], inverse(fam.glue_from[eid]))
 
 
+_OTHER_END = {"from": "to", "to": "from"}
+
+
 def is_orientable(fam: PLFamily) -> Orientation:
     """Spanning-forest propagation of a global vertex relabeling.
 
     Returns a full trivialization (per-vertex gauge and per-edge rechart
-    making all glue trivial) or a failing cycle with its monodromy.
+    making all glue trivial) or a failing cycle with its monodromy: the
+    first open edge of the first component, by least vertex, that has one.
     """
-    sigma = {}
-    parent = {}
-    for comp in fam.base.components():
-        root = comp[0]
-        sigma[root] = "e"
-        parent[root] = None
-        frontier = [root]
-        in_comp = set(comp)
-        tree_edges = set()
-        while frontier:
-            u = frontier.pop(0)
-            for eid, end in sorted(fam.base.incident_ends(u)):
-                e = fam.base.edges[eid]
-                other = e.to if end == "from" else e.frm
-                if other in sigma:
-                    continue
-                # constraint sigma_u ∘ g_{u,e} = sigma_other ∘ g_{other,e}
-                g_here = fam.glue(eid, end)
-                g_there = fam.glue(eid, "to" if end == "from" else "from")
-                sigma[other] = compose(compose(sigma[u], g_here), inverse(g_there))
-                parent[other] = (u, eid, end)
-                tree_edges.add(eid)
-                frontier.append(other)
-        for eid in sorted(fam.base.edges):
-            e = fam.base.edges[eid]
-            if e.frm not in in_comp or eid in tree_edges:
-                continue
-            lhs = compose(compose(sigma[e.frm], fam.glue_from[eid]), inverse(fam.glue_to[eid]))
-            if lhs != sigma[e.to]:
-                cycle = _cycle_through(parent, e)
-                mono = _cycle_monodromy(fam, cycle)
-                return Orientation(False, obstruction_cycle=tuple(cycle), monodromy=mono)
-    recharts = {}
-    for eid, e in fam.base.edges.items():
-        recharts[eid] = compose(sigma[e.frm], fam.glue_from[eid])
+    base = fam.base
+
+    def push(eid, end, s):
+        # constraint sigma_u ∘ g_{u,e} = sigma_other ∘ g_{other,e}
+        return compose(compose(s, fam.glue(eid, end)), inverse(fam.glue(eid, _OTHER_END[end])))
+
+    sigma, parent = {}, {}
+    for root in base.vertices:
+        if root in sigma:
+            continue
+        labels, tree = base.spread(root, "e", push)
+        sigma.update(labels)
+        parent.update(tree)
+        eid = min(base.open_edges(labels, push), default=None)
+        if eid is not None:
+            e = base.edges[eid]
+            # tree paths transport x to y by sigma_y⁻¹ ∘ sigma_x, so the
+            # cycle's transports compose to sigma_frm⁻¹ ∘ sigma_to ∘ transport_e
+            mono = compose(inverse(sigma[e.frm]), compose(sigma[e.to], edge_transport(fam, eid)))
+            return Orientation(False, obstruction_cycle=tuple(cycle_through(parent, e)), monodromy=mono)
+    recharts = {eid: compose(sigma[e.frm], fam.glue_from[eid]) for eid, e in base.edges.items()}
     return Orientation(True, vertex_gauge=sigma, edge_recharts=recharts)
 
 
-def _cycle_through(parent, e: Edge):
+def cycle_through(parent, e: Edge):
+    """The cycle that edge e closes in a spanning forest, as (edge, direction) steps.
+
+    It crosses e forward, climbs from e.to to the last common ancestor and
+    descends to e.frm; ``parent`` is the tree ``BaseGraph.spread`` returns.
+    """
     def path_to_root(v):
         # parent traversal was u -> v; walking back toward the root crosses
         # the edge against that direction
@@ -645,16 +671,6 @@ def _cycle_through(parent, e: Edge):
         for eid, d in reversed(down_to[: len(down_to) - common])
     ]
     return cyc
-
-
-def _cycle_monodromy(fam: PLFamily, cycle) -> str:
-    mono = "e"
-    for eid, direction in cycle:
-        p = edge_transport(fam, eid)
-        if direction == "backward":
-            p = inverse(p)
-        mono = compose(p, mono)
-    return mono
 
 
 def orient(fam: PLFamily) -> tuple[PLFamily, Orientation]:
@@ -735,110 +751,82 @@ class IsoResult:
 def _chart_candidates(f_chart, g_chart):
     """Permutations tau with tau . f_chart == g_chart at all joint breakpoints."""
     ts = sorted(set(chart_breaks(f_chart)) | set(chart_breaks(g_chart)))
-    out = []
-    for tau in PERMS:
-        if all(
-            act_tuple(tau, chart_eval_tuple(f_chart, t)) == chart_eval_tuple(g_chart, t)
-            for t in ts
-        ):
-            out.append(tau)
-    return out
+    pairs = [(chart_eval_tuple(f_chart, t), chart_eval_tuple(g_chart, t)) for t in ts]
+    return [tau for tau in PERMS if all(act_tuple(tau, a) == b for a, b in pairs)]
 
 
 def _transported(f: PLFamily, g: PLFamily, eid, end, tau):
     return compose(g.glue(eid, end), compose(tau, inverse(f.glue(eid, end))))
 
 
-def are_isomorphic(
-    f: PLFamily,
-    g: PLFamily,
-    vertex_constraints: dict | None = None,
-    find_all: bool = False,
-):
+def are_isomorphic(f: PLFamily, g: PLFamily, *, find_all: bool = False):
     """Fiberwise-isometric identification over the identity of the base.
 
-    Searches one permutation per edge subject to exact chart matching and
-    vertex-end compatibility, returning the least solution in PERMS order
-    (or every solution with ``find_all``).  ``vertex_constraints`` pins
-    the induced vertex permutation at chosen vertices.
+    One permutation tau_e per edge, subject to exact chart matching and
+    vertex-end compatibility.  The vertex permutation h_v at either end of
+    an edge fixes tau_e, so h at one vertex of a component fixes the whole
+    component: each component has at most six solutions, ordered by tau
+    on its least edge.  Returns the least solution over the sorted edges in
+    PERMS order, which is the product of the per-component least ones
+    (or, with ``find_all``, every solution in that order).
     """
     if f.base != g.base:
         raise DifferentBase("families live over different bases")
-    vertex_constraints = dict(vertex_constraints or {})
-    edges = sorted(f.base.edges)
-    cands = {e: _chart_candidates(f.charts[e], g.charts[e]) for e in edges}
+    base = f.base
+    cands = {e: _chart_candidates(f.charts[e], g.charts[e]) for e in base.edges}
 
-    isolated = [v for v in f.base.vertices if not f.base.incident_ends(v)]
     iso_perm = {}
-    for v in isolated:
-        opts = [
-            h for h in PERMS
-            if act(h, f.vertex_lengths[v]) == g.vertex_lengths[v]
-            and (v not in vertex_constraints or vertex_constraints[v] == h)
-        ]
+    for v in base.vertices:
+        if base.incident_ends(v):
+            continue
+        opts = [h for h in PERMS if act(h, f.vertex_lengths[v]) == g.vertex_lengths[v]]
         if not opts:
-            return ([] if find_all else IsoResult(False, obstruction=None))
+            return [] if find_all else IsoResult(False, obstruction=None)
         iso_perm[v] = opts[0]
 
-    solutions = []
-    assignment = {}
-    vperm = {}
+    def tau_at(eid, end, h):
+        return compose(inverse(g.glue(eid, end)), compose(h, f.glue(eid, end)))
 
-    ends_by_vertex = {v: sorted(f.base.incident_ends(v)) for v in f.base.vertices}
+    def push(eid, end, h):
+        tau = tau_at(eid, end, h)
+        return _transported(f, g, eid, _OTHER_END[end], tau) if tau in cands[eid] else None
 
-    def consistent(eid, tau):
-        e = f.base.edges[eid]
-        for v, end in ((e.frm, "from"), (e.to, "to")):
-            h = _transported(f, g, eid, end, tau)
-            if v in vertex_constraints and vertex_constraints[v] != h:
-                return None
-            if v in vperm and vperm[v] != h:
-                return None
-        return True
+    per_component = []
+    labelled = set()
+    for eid, e in base.edges.items():
+        if e.frm in labelled:
+            continue
+        # a component is met first at its least edge; its root is that edge's start
+        roots = [_transported(f, g, eid, "from", tau) for tau in cands[eid]]
+        sols = base.labellings(e.frm, roots, push)
+        sols = list(sols) if find_all else list(itertools.islice(sols, 1))
+        if not sols:
+            return [] if find_all else IsoResult(False, obstruction=_diagnose(f, g, cands))
+        labelled.update(sols[0])
+        per_component.append(sols)
 
-    def place(i):
-        if i == len(edges):
-            sol = dict(assignment)
-            solutions.append((sol, dict(vperm, **iso_perm)))
-            return not find_all
-        eid = edges[i]
-        e = f.base.edges[eid]
-        for tau in cands[eid]:
-            if consistent(eid, tau) is None:
-                continue
-            assignment[eid] = tau
-            touched = []
-            ok = True
-            for v, end in ((e.frm, "from"), (e.to, "to")):
-                h = _transported(f, g, eid, end, tau)
-                if v not in vperm:
-                    vperm[v] = h
-                    touched.append(v)
-                elif vperm[v] != h:
-                    ok = False
-                    break
-            if ok and place(i + 1):
-                return True
-            for v in touched:
-                del vperm[v]
-            del assignment[eid]
-        return False
+    def solution(component_labels):
+        h = {}
+        for labels in component_labels:
+            h.update(labels)
+        assignment = {eid: tau_at(eid, "from", h[e.frm]) for eid, e in base.edges.items()}
+        vertex_perms = {}  # in the order the sorted edges reach the vertices, as always listed
+        for e in base.edges.values():
+            vertex_perms.setdefault(e.frm, h[e.frm])
+            vertex_perms.setdefault(e.to, h[e.to])
+        vertex_perms.update(iso_perm)
+        return IsoResult(True, assignment, vertex_perms)
 
-    place(0)
     if find_all:
-        return [IsoResult(True, a, vp) for a, vp in solutions]
-    if solutions:
-        a, vp = solutions[0]
-        return IsoResult(True, a, vp)
-    return IsoResult(False, obstruction=_diagnose(f, g, cands, ends_by_vertex))
+        return [solution(combo) for combo in itertools.product(*per_component)]
+    return solution(sols[0] for sols in per_component)
 
 
-def _diagnose(f, g, cands, ends_by_vertex):
+def _diagnose(f, g, cands):
     """A vertex whose incident edge-ends force disjoint vertex permutations."""
-    for v in sorted(ends_by_vertex):
-        ends = ends_by_vertex[v]
+    for v in f.base.vertices:
         hsets = []
-        for eid, end in ends:
+        for eid, end in f.base.incident_ends(v):
             hs = tuple(sorted({_transported(f, g, eid, end, tau) for tau in cands[eid]},
                               key=PERMS.index))
             hsets.append((eid, hs))
@@ -1068,7 +1056,7 @@ def family_from_json(raw: dict) -> PLFamily:
             raise FiberNotInM((e["id"], e["chart"])) from err
     gf = {e["id"]: e.get("glueFrom", "e") for e in raw["edges"]}
     gt = {e["id"]: e.get("glueTo", "e") for e in raw["edges"]}
-    return validate_family(PLFamily(base, vl, charts, gf, gt))
+    return _checked(PLFamily(base, vl, charts, gf, gt), charts_built=True)
 
 
 def load_family(path) -> PLFamily:

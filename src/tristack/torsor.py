@@ -27,6 +27,7 @@ from .families import (
     BaseGraph,
     Edge,
     PLFamily,
+    cycle_through,
     edge_transport,
     make_chart,
     validate_family,
@@ -146,8 +147,9 @@ class SimplicialBase:
         ids = list(self.vertices) + list(self.edges) + list(self.faces)
         if len(set(ids)) != len(ids):
             raise TorsorError("cell ids must be globally unique")
+        vertex_set = set(self.vertices)
         for e in self.edges.values():
-            if e.frm not in self.vertices or e.to not in self.vertices:
+            if e.frm not in vertex_set or e.to not in vertex_set:
                 raise TorsorError(f"edge {e.id} has unknown endpoint")
         for f in self.faces.values():
             if len(f.boundary) != 3:
@@ -258,70 +260,30 @@ def is_trivial(t: TorsorCocycle) -> Triviality:
     """Spanning-forest section; trivial iff every independent cycle closes.
 
     The returned gauge turns every transition into the identity; a failing
-    torsor instead reports one non-tree cycle and its path product.
+    torsor instead reports the cycle of the least open edge and its path
+    product.
     """
     v = validate_torsor(t)
     if not v.ok:
         raise FaceCocycleFails(v.witness)
     g = t.base.graph()
-    gauge = {}
-    parent = {}
-    tree = set()
-    for comp in g.components():
-        root = comp[0]
-        gauge[root] = t.group.identity
-        parent[root] = None
-        frontier = [root]
-        while frontier:
-            u = frontier.pop(0)
-            for eid, end in sorted(g.incident_ends(u)):
-                e = g.edges[eid]
-                other = e.to if end == "from" else e.frm
-                if other in gauge:
-                    continue
-                elem = t.element(eid, 1 if end == "from" else -1)
-                # want gauged transition identity: mul(inv(phi_u), mul(elem, phi_other)) = e
-                gauge[other] = t.group.mul(t.group.inverse(elem), gauge[u])
-                parent[other] = (u, eid, end)
-                tree.add(eid)
-                frontier.append(other)
-    for eid in sorted(g.edges):
-        if eid in tree:
-            continue
-        e = g.edges[eid]
-        expect = t.group.mul(t.group.inverse(t.transitions[eid]), gauge[e.frm])
-        if gauge[e.to] != expect:
-            cycle = _cycle_through(parent, e)
-            mono = t.group.path_product(t.element(eid2, 1 if d == "forward" else -1) for eid2, d in cycle)
-            return Triviality(False, obstruction_cycle=tuple(cycle), monodromy=mono)
+    grp = t.group
+
+    def push(eid, end, phi):
+        # want gauged transition identity: mul(inv(phi_u), mul(elem, phi_other)) = e
+        return grp.mul(grp.inverse(t.element(eid, 1 if end == "from" else -1)), phi)
+
+    gauge, parent = {}, {}
+    for root in g.vertices:
+        if root not in gauge:
+            labels, tree = g.spread(root, grp.identity, push)
+            gauge.update(labels)
+            parent.update(tree)
+    eid = min(g.open_edges(gauge, push), default=None)
+    if eid is not None:
+        cycle = cycle_through(parent, g.edges[eid])
+        return Triviality(False, obstruction_cycle=tuple(cycle), monodromy=cycle_monodromy(t, cycle))
     return Triviality(True, gauge=gauge)
-
-
-def _cycle_through(parent, e: Edge):
-    def path_to_root(v):
-        out = []
-        while parent[v] is not None:
-            u, eid, end = parent[v]
-            out.append((eid, "backward" if end == "from" else "forward"))
-            v = u
-        return out
-
-    up_from = path_to_root(e.to)
-    down_to = path_to_root(e.frm)
-    common = 0
-    while (
-        common < len(up_from)
-        and common < len(down_to)
-        and up_from[len(up_from) - 1 - common] == down_to[len(down_to) - 1 - common]
-    ):
-        common += 1
-    cyc = [(e.id, "forward")]
-    cyc += up_from[: len(up_from) - common]
-    cyc += [
-        (eid, "forward" if d == "backward" else "backward")
-        for eid, d in reversed(down_to[: len(down_to) - common])
-    ]
-    return cyc
 
 
 def cycle_monodromy(t: TorsorCocycle, cycle) -> str:
@@ -341,42 +303,30 @@ def gauge_transform(t: TorsorCocycle, gauge: dict) -> TorsorCocycle:
 
 
 def find_gauge_isomorphism(t1: TorsorCocycle, t2: TorsorCocycle) -> dict | None:
-    """Per-vertex elements carrying t1 to t2, least by element order."""
+    """Per-vertex elements carrying t1 to t2, least by element order.
+
+    Components are independent, so the least gauge takes each component's
+    least root value.
+    """
     if t1.base.cells() != t2.base.cells() or t1.group.elements != t2.group.elements:
         return None
     g = t1.base.graph()
     grp = t1.group
-    comps = g.components()
 
-    def solve(component_roots):
-        gauge = {}
-        for root, root_val in component_roots:
-            gauge[root] = root_val
-            frontier = [root]
-            while frontier:
-                u = frontier.pop(0)
-                for eid, end in sorted(g.incident_ends(u)):
-                    e = g.edges[eid]
-                    other = e.to if end == "from" else e.frm
-                    if other in gauge:
-                        continue
-                    a = t1.element(eid, 1 if end == "from" else -1)
-                    b = t2.element(eid, 1 if end == "from" else -1)
-                    # want: b == inv(gauge_u) . a . gauge_other
-                    gauge[other] = grp.mul(grp.inverse(a), grp.mul(gauge[u], b))
-                    frontier.append(other)
-        for eid, e in g.edges.items():
-            want = grp.mul(grp.inverse(gauge[e.frm]), grp.mul(t1.transitions[eid], gauge[e.to]))
-            if want != t2.transitions[eid]:
-                return None
-        return gauge
+    def push(eid, end, phi):
+        d = 1 if end == "from" else -1
+        # want: t2 element == inv(phi_u) . t1 element . phi_other
+        return grp.mul(grp.inverse(t1.element(eid, d)), grp.mul(phi, t2.element(eid, d)))
 
-    roots = [comp[0] for comp in comps]
-    for combo in itertools.product(grp.elements, repeat=len(roots)):
-        gauge = solve(list(zip(roots, combo)))
-        if gauge is not None:
-            return gauge
-    return None
+    gauge = {}
+    for root in g.vertices:
+        if root in gauge:
+            continue
+        labels = next(g.labellings(root, grp.elements, push), None)
+        if labels is None:
+            return None
+        gauge.update(labels)
+    return gauge
 
 
 def restrict_torsor(t: TorsorCocycle, cells: frozenset) -> TorsorCocycle:
@@ -485,15 +435,24 @@ def validate_glue_data(g: GlueData) -> Verdict:
                     for eid, _ in base.faces[e].boundary:
                         if table[e] != table[eid]:
                             return Verdict(False, "transition not constant along a face", (i, j, e))
-    for i in range(len(g.pieces)):
-        for j in range(i + 1, len(g.pieces)):
-            for k in range(j + 1, len(g.pieces)):
-                triple = g.pieces[i] & g.pieces[j] & g.pieces[k]
-                for cell in triple:
-                    lhs = grp.mul(g.alpha(j, i, cell), g.alpha(k, j, cell))
-                    if lhs != g.alpha(k, i, cell):
-                        return Verdict(False, "cocycle fails on a triple overlap", (i, j, k, cell))
+    # only piece triples that share a cell can fail, taken in lexicographic order
+    triples = {t for owners in _pieces_by_cell(g.pieces).values() for t in itertools.combinations(owners, 3)}
+    for i, j, k in sorted(triples):
+        triple = g.pieces[i] & g.pieces[j] & g.pieces[k]
+        for cell in triple:
+            lhs = grp.mul(g.alpha(j, i, cell), g.alpha(k, j, cell))
+            if lhs != g.alpha(k, i, cell):
+                return Verdict(False, "cocycle fails on a triple overlap", (i, j, k, cell))
     return Verdict(True)
+
+
+def _pieces_by_cell(pieces) -> dict:
+    """cell -> ascending indices of the pieces containing it."""
+    owners = {}
+    for idx, cells in enumerate(pieces):
+        for cell in cells:
+            owners.setdefault(cell, []).append(idx)
+    return owners
 
 
 def glue_descent(g: GlueData):
@@ -508,15 +467,13 @@ def glue_descent(g: GlueData):
     if not v.ok:
         raise CocycleFails((v.reason,) + (v.witness or ()))
     base, grp = g.base, g.group
-
-    def home(cell):
-        return min(idx for idx, cells in enumerate(g.pieces) if cell in cells)
+    home = {cell: owners[0] for cell, owners in _pieces_by_cell(g.pieces).items()}
 
     transitions = {}
     for eid, e in base.edges.items():
-        p = home(eid)
+        p = home[eid]
         transitions[eid] = grp.mul(
-            g.alpha(p, home(e.frm), e.frm), g.alpha(home(e.to), p, e.to)
+            g.alpha(p, home[e.frm], e.frm), g.alpha(home[e.to], p, e.to)
         )
     torsor = TorsorCocycle(base, grp, transitions)
     face_check = validate_torsor(torsor)
@@ -526,7 +483,7 @@ def glue_descent(g: GlueData):
     witnesses = {}
     for idx, cells in enumerate(g.pieces):
         gauge = {
-            v2: g.alpha(idx, home(v2), v2)
+            v2: g.alpha(idx, home[v2], v2)
             for v2 in base.vertices
             if v2 in cells
         }

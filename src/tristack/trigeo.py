@@ -27,6 +27,8 @@ class NotIsosceles(ValueError):
 
 
 def _frac(v) -> Fraction:
+    if type(v) is Fraction:
+        return v
     if isinstance(v, float):
         raise TypeError("floats are not accepted; use Fraction or 'p/q' strings")
     return Fraction(v)
@@ -94,6 +96,10 @@ def perm_order(g: str) -> int:
 def in_M(t) -> bool:
     """Strict triangle inequalities and positivity for a raw triple."""
     x, y, z = (_frac(v) for v in t)
+    return _interior(x, y, z)
+
+
+def _interior(x: Fraction, y: Fraction, z: Fraction) -> bool:
     return x > 0 and y > 0 and z > 0 and x + y > z and x + z > y and y + z > x
 
 
@@ -109,7 +115,7 @@ class TriangleLengths:
         object.__setattr__(self, "x", _frac(self.x))
         object.__setattr__(self, "y", _frac(self.y))
         object.__setattr__(self, "z", _frac(self.z))
-        if not in_M((self.x, self.y, self.z)):
+        if not _interior(self.x, self.y, self.z):
             raise NotInM(f"({self.x}, {self.y}, {self.z}) is not an interior triangle triple")
 
     def astuple(self):

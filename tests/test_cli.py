@@ -66,6 +66,23 @@ class TestFamilyIso:
         assert code == 2 and "no such file" in out
 
 
+class TestInternalError:
+    def test_crash_exits_three_without_traceback(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "m.json"
+        families.save_family(families.fixture_mobius(), p)
+
+        def crash(fam):
+            raise RuntimeError("kernel\nfailed")
+
+        monkeypatch.setattr(families, "is_orientable", crash)
+        code = main(["--json", str(tmp_path / "r.json"), "orientable", str(p)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: kernel failed\n"
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestOrientable:
     def test_mobius_family_file(self, tmp_path, capsys):
         p = tmp_path / "m.json"
