@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -34,17 +33,9 @@ def _load_json(path):
         raise InputError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
 
 
-_RATIONAL_SHAPE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
 def _parse_rational(text, what):
     # 'p/q' or integer strings only; decimal notation would smuggle floats in
-    if not _RATIONAL_SHAPE.match(text):
-        raise InputError(f"{what}: {text!r} is not a rational p/q")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise InputError(f"{what}: {text!r} divides by zero")
+    return trigeo.RationalReader(InputError).rational(text, what)
 
 
 # -- subcommand implementations (report dict, exit code) -------------------------

@@ -19,6 +19,7 @@ from .families import (
     BaseGraph,
     DifferentBase,
     Edge,
+    FamilyError,
     GraphMap,
     PLFamily,
     chart_reparam,
@@ -30,7 +31,7 @@ from .families import (
     validate_family,
 )
 from .fincat import Verdict
-from .trigeo import PERMS, TriangleLengths, act, compose, inverse
+from .trigeo import PERMS, RationalReader, TriangleLengths, act, compose, inverse
 
 
 class DeformError(ValueError):
@@ -306,8 +307,9 @@ def deformation_to_json(d: Deformation) -> dict:
 
 
 def deformation_from_json(raw: dict) -> Deformation:
-    fam = family_from_json(raw)
-    t = TriangleLengths(*(Fraction(v) for v in raw["triangle"]))
+    read = RationalReader(FamilyError)
+    fam = family_from_json(raw, read=read)
+    t = read.lengths(raw["triangle"], "triangle")
     return deformation(t, fam, raw["basepoint"], raw.get("marking", "e"))
 
 

@@ -177,19 +177,24 @@ def chart_breaks(chart):
     return [t for t, _ in chart]
 
 
+def _lerp(p0, p1, t: Fraction):
+    """The value at t of the chart segment from p0 to p1 (t0 < t < t1)."""
+    (t0, v0), (t1, v1) = p0, p1
+    lam = (t - t0) / (t1 - t0)
+    return tuple(ai + lam * (bi - ai) for ai, bi in zip(v0.astuple(), v1.astuple()))
+
+
 def chart_eval_tuple(chart, t: Fraction):
     t = Fraction(t)
     if not F0 <= t <= F1:
         raise FamilyError(f"chart parameter {t} outside [0,1]")
-    for (t0, v0), (t1, v1) in zip(chart, chart[1:]):
-        if t0 <= t <= t1:
-            if t == t0:
-                return v0.astuple()
-            if t == t1:
-                return v1.astuple()
-            lam = (t - t0) / (t1 - t0)
-            a, b = v0.astuple(), v1.astuple()
-            return tuple(ai + lam * (bi - ai) for ai, bi in zip(a, b))
+    for p0, p1 in zip(chart, chart[1:]):
+        if p0[0] <= t <= p1[0]:
+            if t == p0[0]:
+                return p0[1].astuple()
+            if t == p1[0]:
+                return p1[1].astuple()
+            return _lerp(p0, p1, t)
     raise FamilyError(f"chart parameter {t} not covered")
 
 
@@ -267,10 +272,10 @@ def _checked(fam: PLFamily, charts_built: bool) -> PLFamily:
         for g in (fam.glue_from[eid], fam.glue_to[eid]):
             if g not in PERMS:
                 raise FamilyError(f"edge {eid} glue {g} is not a permutation label")
-        start, end = chart[0][1], chart[-1][1]
-        if act(fam.glue_from[eid], start) != fam.vertex_lengths[e.frm]:
+        start, end = chart[0][1].astuple(), chart[-1][1].astuple()
+        if act_tuple(fam.glue_from[eid], start) != fam.vertex_lengths[e.frm].astuple():
             raise GlueInconsistent(e.frm)
-        if act(fam.glue_to[eid], end) != fam.vertex_lengths[e.to]:
+        if act_tuple(fam.glue_to[eid], end) != fam.vertex_lengths[e.to].astuple():
             raise GlueInconsistent(e.to)
     return fam
 
@@ -749,10 +754,26 @@ class IsoResult:
 
 
 def _chart_candidates(f_chart, g_chart):
-    """Permutations tau with tau . f_chart == g_chart at all joint breakpoints."""
-    ts = sorted(set(chart_breaks(f_chart)) | set(chart_breaks(g_chart)))
-    pairs = [(chart_eval_tuple(f_chart, t), chart_eval_tuple(g_chart, t)) for t in ts]
-    return [tau for tau in PERMS if all(act_tuple(tau, a) == b for a, b in pairs)]
+    """Permutations tau with tau . f_chart == g_chart at all joint breakpoints.
+
+    One merge walk over both charts' breakpoints (both run from 0 to 1);
+    a chart is interpolated only at the other chart's inner breakpoints.
+    """
+    cands = list(PERMS)
+    i = j = 0
+    while cands and i < len(f_chart):
+        (tf, vf), (tg, vg) = f_chart[i], g_chart[j]
+        if tf == tg:
+            a, b = vf.astuple(), vg.astuple()
+            i, j = i + 1, j + 1
+        elif tf < tg:
+            a, b = vf.astuple(), _lerp(g_chart[j - 1], g_chart[j], tf)
+            i += 1
+        else:
+            a, b = _lerp(f_chart[i - 1], f_chart[i], tg), vg.astuple()
+            j += 1
+        cands = [tau for tau in cands if act_tuple(tau, a) == b]
+    return cands
 
 
 def _transported(f: PLFamily, g: PLFamily, eid, end, tau):
@@ -1037,20 +1058,23 @@ def family_to_json(fam: PLFamily) -> dict:
     }
 
 
-def family_from_json(raw: dict) -> PLFamily:
+def family_from_json(raw: dict, *, read: trigeo.RationalReader | None = None) -> PLFamily:
+    """The family of a JSON document; ``read`` shares a load's rational reader."""
+    read = read or trigeo.RationalReader(FamilyError)
     vertices = [v["id"] for v in raw["vertices"]]
     edges = [Edge(e["id"], e["from"], e["to"]) for e in raw["edges"]]
     base = BaseGraph(vertices, edges)
     vl, charts = {}, {}
     for v in raw["vertices"]:
         try:
-            vl[v["id"]] = trigeo.parse_lengths(*v["lengths"])
+            vl[v["id"]] = read.lengths(v["lengths"], f"vertex {v['id']}")
         except NotInM as err:
             raise FiberNotInM((v["id"], v["lengths"])) from err
     for e in raw["edges"]:
+        where = f"edge {e['id']}"
         try:
             charts[e["id"]] = make_chart(
-                [(Fraction(pt["t"]), trigeo.parse_lengths(*pt["lengths"])) for pt in e["chart"]]
+                [(read.rational(pt["t"], where), read.lengths(pt["lengths"], where)) for pt in e["chart"]]
             )
         except NotInM as err:
             raise FiberNotInM((e["id"], e["chart"])) from err

@@ -20,12 +20,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import trigeo
 from .families import (
     BaseGraph,
     Edge,
+    FamilyError,
     PLFamily,
     cycle_through,
     edge_transport,
@@ -653,18 +653,19 @@ def pair_to_json(p: TorsorPair) -> dict:
 
 def pair_from_json(raw: dict) -> TorsorPair:
     torsor = torsor_from_json(raw)
+    read = trigeo.RationalReader(FamilyError)
     refs = {}
     for v, table in raw["equivariant"].items():
-        ref = trigeo.parse_lengths(*table["e"])
+        ref = read.lengths(table["e"], f"vertex {v} sheet e")
         for s in PERMS:
-            got = trigeo.parse_lengths(*table[s])
+            got = read.lengths(table[s], f"vertex {v} sheet {s}")
             if got != act(perm_inverse(s), ref):
                 raise InvalidPair(("equivariance fails", v, s))
         refs[v] = ref
-    charts = {
-        e: make_chart([(Fraction(pt["t"]), trigeo.parse_lengths(*pt["lengths"])) for pt in pts])
-        for e, pts in raw["charts"].items()
-    }
+    charts = {}
+    for e, pts in raw["charts"].items():
+        where = f"edge {e}"
+        charts[e] = make_chart([(read.rational(pt["t"], where), read.lengths(pt["lengths"], where)) for pt in pts])
     pair = TorsorPair(torsor, refs, charts, dict(raw["glueFrom"]), dict(raw["glueTo"]))
     return validate_pair(pair)
 

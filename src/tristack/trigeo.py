@@ -14,6 +14,7 @@ module and everything built on it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,7 +101,13 @@ def in_M(t) -> bool:
 
 
 def _interior(x: Fraction, y: Fraction, z: Fraction) -> bool:
-    return x > 0 and y > 0 and z > 0 and x + y > z and x + z > y and y + z > x
+    # On integers, over the common denominator p*q*r > 0.  Positivity needs
+    # no test of its own: adding two strict inequalities gives 2x > 0, etc.
+    a, p = x.numerator, x.denominator
+    b, q = y.numerator, y.denominator
+    c, r = z.numerator, z.denominator
+    a, b, c = a * q * r, b * p * r, c * p * q
+    return a + b > c and a + c > b and b + c > a
 
 
 @dataclass(frozen=True, order=True)
@@ -149,8 +156,17 @@ def lengths(x, y, z) -> TriangleLengths:
 
 
 def act(g: str, t: TriangleLengths) -> TriangleLengths:
-    """Left action of S3 on M by vertex relabeling: act(g∘h) = act(g)∘act(h)."""
-    return TriangleLengths(*act_tuple(g, t.astuple()))
+    """Left action of S3 on M by vertex relabeling: act(g∘h) = act(g)∘act(h).
+
+    M is S3-invariant, so the permuted triple skips the constructor's check.
+    """
+    p = PERM_ACTION[g]
+    s = (t.x, t.y, t.z)
+    out = object.__new__(TriangleLengths)
+    object.__setattr__(out, "x", s[p[0]])
+    object.__setattr__(out, "y", s[p[1]])
+    object.__setattr__(out, "z", s[p[2]])
+    return out
 
 
 def to_N(t: TriangleLengths) -> NPoint:
@@ -266,9 +282,54 @@ def isosceles_coordinate(t: TriangleLengths) -> Fraction:
     return (2 * leg * leg - base * base) / (2 * leg * leg)
 
 
+# The one accepted text form of an exact rational: an integer or p/q.
+RATIONAL_SHAPE = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def _rational_from_text(text: str, where: str, error) -> Fraction:
+    if not RATIONAL_SHAPE.fullmatch(text):
+        raise error(f"{where}: {text!r} is not a rational p/q")
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise error(f"{where}: {text!r} divides by zero")
+    return Fraction(int(num), int(den or 1))
+
+
+class RationalReader:
+    """Reads exact rationals from JSON values for one load.
+
+    Accepted are ints and strings of ``RATIONAL_SHAPE``; floats, bools,
+    decimal and exponent strings raise ``error`` naming ``where`` and the
+    value.  The reader remembers every text it parsed, so a length or time
+    repeated across fibers and charts is parsed once per load; make a new
+    reader for every load.
+    """
+
+    def __init__(self, error=ValueError):
+        self.error = error
+        self._memo = {}
+
+    def rational(self, value, where: str) -> Fraction:
+        if type(value) is str:
+            q = self._memo.get(value)
+            if q is None:
+                q = self._memo[value] = _rational_from_text(value, where, self.error)
+            return q
+        if type(value) is int:
+            return Fraction(value)
+        raise self.error(f"{where}: {value!r} is not an integer or a 'p/q' string")
+
+    def lengths(self, values, where: str) -> TriangleLengths:
+        """A triple of lengths; raises NotInM when it is not interior to M."""
+        if not isinstance(values, (list, tuple)) or len(values) != 3:
+            raise self.error(f"{where}: {values!r} is not a triple of lengths")
+        r = self.rational
+        return TriangleLengths(r(values[0], where), r(values[1], where), r(values[2], where))
+
+
 def parse_lengths(sx: str, sy: str, sz: str) -> TriangleLengths:
-    """Parse 'p/q' or integer strings; floats are rejected."""
-    return TriangleLengths(Fraction(sx), Fraction(sy), Fraction(sz))
+    """Parse 'p/q' or integer strings; floats and decimals are rejected."""
+    return RationalReader().lengths((sx, sy, sz), "lengths")
 
 
 def format_lengths(t) -> list[str]:
