@@ -33,16 +33,12 @@ def _load_json(path):
         raise InputError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
 
 
-def _parse_rational(text, what):
-    # 'p/q' or integer strings only; decimal notation would smuggle floats in
-    return trigeo.RationalReader(InputError).rational(text, what)
-
-
 # -- subcommand implementations (report dict, exit code) -------------------------
 
 
 def cmd_classify(args):
-    triple = tuple(_parse_rational(v, "length") for v in (args.x, args.y, args.z))
+    # 'p/q' or integer strings only; decimal notation would smuggle floats in
+    triple = tuple(trigeo.rational_from_text(v, "length", InputError) for v in (args.x, args.y, args.z))
     if not trigeo.in_M(triple):
         return {"inM": False, "triple": [str(v) for v in triple]}, 1, "not in M: degenerate or impossible edge lengths"
     t = trigeo.TriangleLengths(*triple)

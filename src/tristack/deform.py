@@ -307,9 +307,8 @@ def deformation_to_json(d: Deformation) -> dict:
 
 
 def deformation_from_json(raw: dict) -> Deformation:
-    read = RationalReader(FamilyError)
-    fam = family_from_json(raw, read=read)
-    t = read.lengths(raw["triangle"], "triangle")
+    fam = family_from_json(raw)
+    t = RationalReader(FamilyError).lengths(raw["triangle"], "triangle")
     return deformation(t, fam, raw["basepoint"], raw.get("marking", "e"))
 
 

@@ -1058,9 +1058,8 @@ def family_to_json(fam: PLFamily) -> dict:
     }
 
 
-def family_from_json(raw: dict, *, read: trigeo.RationalReader | None = None) -> PLFamily:
-    """The family of a JSON document; ``read`` shares a load's rational reader."""
-    read = read or trigeo.RationalReader(FamilyError)
+def family_from_json(raw: dict) -> PLFamily:
+    read = trigeo.RationalReader(FamilyError)
     vertices = [v["id"] for v in raw["vertices"]]
     edges = [Edge(e["id"], e["from"], e["to"]) for e in raw["edges"]]
     base = BaseGraph(vertices, edges)

@@ -286,7 +286,8 @@ def isosceles_coordinate(t: TriangleLengths) -> Fraction:
 RATIONAL_SHAPE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
-def _rational_from_text(text: str, where: str, error) -> Fraction:
+def rational_from_text(text: str, where: str, error) -> Fraction:
+    """The rational an integer or 'p/q' text names; anything else raises ``error``."""
     if not RATIONAL_SHAPE.fullmatch(text):
         raise error(f"{where}: {text!r} is not a rational p/q")
     num, _, den = text.partition("/")
@@ -305,7 +306,7 @@ class RationalReader:
     reader for every load.
     """
 
-    def __init__(self, error=ValueError):
+    def __init__(self, error):
         self.error = error
         self._memo = {}
 
@@ -313,7 +314,7 @@ class RationalReader:
         if type(value) is str:
             q = self._memo.get(value)
             if q is None:
-                q = self._memo[value] = _rational_from_text(value, where, self.error)
+                q = self._memo[value] = rational_from_text(value, where, self.error)
             return q
         if type(value) is int:
             return Fraction(value)
@@ -329,7 +330,7 @@ class RationalReader:
 
 def parse_lengths(sx: str, sy: str, sz: str) -> TriangleLengths:
     """Parse 'p/q' or integer strings; floats and decimals are rejected."""
-    return RationalReader().lengths((sx, sy, sz), "lengths")
+    return RationalReader(ValueError).lengths((sx, sy, sz), "lengths")
 
 
 def format_lengths(t) -> list[str]:

@@ -258,7 +258,7 @@ class TestLoadCounts:
         assert len(triples) == 2001 + 3000 + 2000
 
         checks, parses = [], Counter()
-        interior, from_text = trigeo._interior, trigeo._rational_from_text
+        interior, from_text = trigeo._interior, trigeo.rational_from_text
 
         def counting_interior(*t):
             checks.append(t)
@@ -269,7 +269,7 @@ class TestLoadCounts:
             return from_text(text, where, error)
 
         monkeypatch.setattr(trigeo, "_interior", counting_interior)
-        monkeypatch.setattr(trigeo, "_rational_from_text", counting_from_text)
+        monkeypatch.setattr(trigeo, "rational_from_text", counting_from_text)
         fam = families.family_from_json(raw)
         assert len(checks) == len(triples)
         assert set(parses) == texts and max(parses.values()) == 1
