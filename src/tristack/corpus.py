@@ -16,11 +16,13 @@ from fractions import Fraction
 from . import trigeo
 from .fincat import (
     FinCat,
-    Functor,
-    Morphism,
     build_category,
+    compose_functors,
     discrete_category,
+    elements_fibration,
+    functors,
     group_category,
+    identity_functor,
     interval_category,
     poset_category,
     slice_category,
@@ -32,22 +34,25 @@ from .descent import FiniteSite, jointly_covering_site
 
 
 # -- stock groups as one-object categories ------------------------------------
+# torsor's tables read "a then b"; both groups are abelian, so that is also a∘b
 
 
 def z2_category():
-    mul = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
-    return group_category(["e", "s"], mul)
+    from .torsor import group_z2
+
+    grp = group_z2()
+    return group_category(grp.elements, grp.table)
 
 
 def z3_category():
-    els = ["e", "r", "r2"]
-    idx = {"e": 0, "r": 1, "r2": 2}
-    mul = {(a, b): els[(idx[a] + idx[b]) % 3] for a in els for b in els}
-    return group_category(els, mul, name="r")
+    from .torsor import group_z3
+
+    grp = group_z3()
+    return group_category(grp.elements, grp.table, name="r")
 
 
-def identity_endofunctor(c: FinCat) -> Functor:
-    return Functor(c, c, {o: o for o in c.objects}, {m: m for m in c.morphisms})
+# older name, still imported by the tests and the benchmark
+identity_endofunctor = identity_functor
 
 
 # -- poset-of-opens sites ------------------------------------------------------
@@ -114,49 +119,6 @@ def site_three_atoms() -> FiniteSite:
 # -- discrete fibrations from presheaves --------------------------------------
 
 
-def elements_fibration(base: FinCat, values: dict, restrictions: dict):
-    """Category of elements of an explicit presheaf, with its projection.
-
-    ``values[x]`` lists element ids over x; ``restrictions[f]`` maps
-    elements over tgt(f) to elements over src(f).  Functoriality of the
-    presheaf is the caller's contract and surfaces as a category error if
-    broken.
-    """
-    objects = []
-    obj_map = {}
-    for x in base.objects:
-        for e in values[x]:
-            oid = f"{e}@{x}"
-            objects.append(oid)
-            obj_map[oid] = x
-    morphisms = []
-    mor_map = {}
-    identity = {}
-    for f in sorted(base.morphisms):
-        a, b = base.src(f), base.tgt(f)
-        for e in values[b]:
-            src = f"{restrictions[f][e]}@{a}"
-            tgt = f"{e}@{b}"
-            mid = f"{f}[{e}]"
-            morphisms.append(Morphism(mid, src, tgt))
-            mor_map[mid] = f
-            if base.is_identity(f):
-                identity[tgt] = mid
-    table = {}
-    by_tgt = {}
-    for m in morphisms:
-        by_tgt.setdefault(m.tgt, []).append(m)
-    for m1 in morphisms:  # m1: over g, into e@c
-        g = mor_map[m1.id]
-        e = m1.id.split("[", 1)[1][:-1]
-        for m2 in by_tgt.get(m1.src, ()):
-            f = mor_map[m2.id]
-            gf = base.compose(g, f)
-            table[(m1.id, m2.id)] = f"{gf}[{e}]"
-    cat = FinCat(objects, morphisms, identity, table)
-    return cat, Functor(cat, base, obj_map, mor_map)
-
-
 def representable_presheaf(base: FinCat, x: str):
     """values/restrictions tables of Hom(-, x)."""
     values = {a: sorted(base.hom(a, x)) for a in base.objects}
@@ -218,37 +180,8 @@ def random_poset(rng: random.Random, max_objects=5):
 
 
 def all_functors(dom: FinCat, cod: FinCat, limit=None):
-    """Every functor dom -> cod by backtracking (small categories only)."""
-    from .fincat import validate_functor
-
-    objs = sorted(dom.objects)
-    results = []
-    non_identity = sorted(m for m in dom.morphisms if not dom.is_identity(m))
-
-    def with_objects(obj_map):
-        mor_map = {dom.identity[o]: cod.identity[obj_map[o]] for o in objs}
-
-        def backtrack(i):
-            if limit is not None and len(results) >= limit:
-                return
-            if i == len(non_identity):
-                cand = Functor(dom, cod, dict(obj_map), dict(mor_map))
-                if validate_functor(cand).ok:
-                    results.append(cand)
-                return
-            m = dom.morphisms[non_identity[i]]
-            for m2 in sorted(cod.hom(obj_map[m.src], obj_map[m.tgt])):
-                mor_map[non_identity[i]] = m2
-                backtrack(i + 1)
-                del mor_map[non_identity[i]]
-
-        backtrack(0)
-
-    for combo in itertools.product(sorted(cod.objects), repeat=len(objs)):
-        if limit is not None and len(results) >= limit:
-            break
-        with_objects(dict(zip(objs, combo)))
-    return results
+    """Every functor dom -> cod, the first ``limit`` of them if given."""
+    return list(itertools.islice(functors(dom, cod, dict.fromkeys(dom.objects, cod.objects)), limit))
 
 
 # -- pseudo-functor corpus -------------------------------------------------------
@@ -272,23 +205,14 @@ def chain_pseudofunctor(rng: random.Random, length=3, fiber_pool=None):
     pullbacks = {}
     for m in base.morphisms.values():
         if base.is_identity(m.id):
-            pullbacks[m.id] = identity_endofunctor(fibers[m.src])
+            pullbacks[m.id] = identity_functor(fibers[m.src])
             continue
         i, j = names.index(m.src), names.index(m.tgt)
-        fun = identity_endofunctor(fibers[names[j]])
+        fun = identity_functor(fibers[names[j]])
         for k in range(j - 1, i - 1, -1):
-            fun = _compose(steps[k], fun)
+            fun = compose_functors(steps[k], fun)
         pullbacks[m.id] = fun
     return strict_pseudofunctor(base, fibers, pullbacks)
-
-
-def _compose(g: Functor, f: Functor) -> Functor:
-    return Functor(
-        f.dom,
-        g.cod,
-        {o: g.obj_map[f.obj_map[o]] for o in f.dom.objects},
-        {m: g.mor_map[f.mor_map[m]] for m in f.dom.morphisms},
-    )
 
 
 def cocycle_pseudofunctor(base_group: str, fiber_group: str, twist: dict):
@@ -301,7 +225,7 @@ def cocycle_pseudofunctor(base_group: str, fiber_group: str, twist: dict):
     base = {"Z2": z2_category, "Z3": z3_category}[base_group]()
     fib = {"Z2": z2_category, "Z3": z3_category}[fiber_group]()
     fibers = {base.objects[0]: fib}
-    pullbacks = {m: identity_endofunctor(fib) for m in base.morphisms}
+    pullbacks = {m: identity_functor(fib) for m in base.morphisms}
     p = strict_pseudofunctor(base, fibers, pullbacks)
     alpha = dict(p.alpha)
     star = fib.objects[0]
@@ -341,7 +265,6 @@ def pseudofunctor_corpus(seed=0, n=12):
 
 def fibered_corpus(seed=0, n=100, max_base_objects=5, max_morphisms=25):
     """Fibered functors: slices, element categories, totals, identities."""
-    from .fincat import identity_functor
     from .grothendieck import total_category
 
     rng = random.Random(seed)

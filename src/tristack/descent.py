@@ -327,12 +327,12 @@ def comparison_datum(site: FiniteSite, transport: Transport, e: str, x: str, fam
     return DescentDatum(x, family, objects, transitions)
 
 
-def is_effective(site: FiniteSite, transport: Transport, d: DescentDatum):
-    """Search for a global object inducing the datum; first witness or None.
+def _effectiveness_witnesses(site, transport, d):
+    """Every (object e over x, per-piece isomorphisms) inducing the datum, in search order.
 
-    A witness is (object e over x, per-piece isomorphisms) satisfying the
-    defining equation transition(j,i) = (a_j restricted) ∘ (canonical
-    comparison of e) ∘ (a_i restricted)^-1 over every ordered pair.
+    A witness satisfies the defining equation transition(j,i) =
+    (a_j restricted) ∘ (canonical comparison of e) ∘ (a_i restricted)^-1
+    over every ordered pair.
     """
     cocycle = check_cocycle(site, transport, d)
     if not cocycle.ok:
@@ -345,15 +345,18 @@ def is_effective(site: FiniteSite, transport: Transport, d: DescentDatum):
         for iota in d.family:
             fib_u = transport.fiber(site.base.src(iota))
             e_restr = transport.restrict_obj(iota, e)
-            isos = [
-                m for m in sorted(fib_u.hom(e_restr, d.objects[iota])) if fib_u.is_iso(m)
-            ]
-            iso_choices.append(isos)
+            iso_choices.append(
+                [m for m in sorted(fib_u.hom(e_restr, d.objects[iota])) if fib_u.is_iso(m)]
+            )
         for combo in itertools.product(*iso_choices):
             alphas = dict(zip(d.family, combo))
             if _witnesses_effectiveness(site, transport, d, cmp_datum, alphas):
-                return e, alphas
-    return None
+                yield e, alphas
+
+
+def is_effective(site: FiniteSite, transport: Transport, d: DescentDatum):
+    """Search for a global object inducing the datum; first witness or None."""
+    return next(_effectiveness_witnesses(site, transport, d), None)
 
 
 def _witnesses_effectiveness(site, transport, d, cmp_datum, alphas) -> bool:
@@ -372,26 +375,7 @@ def _witnesses_effectiveness(site, transport, d, cmp_datum, alphas) -> bool:
 
 def all_effectiveness_witnesses(site, transport, d):
     """Every (object, isomorphism family) witnessing effectiveness."""
-    cocycle = check_cocycle(site, transport, d)
-    if not cocycle.ok:
-        raise CocycleFails(cocycle.witness)
-    d = complete_datum(site, transport, d)
-    out = []
-    fib_x = transport.fiber(d.x)
-    for e in sorted(fib_x.objects):
-        cmp_datum = comparison_datum(site, transport, e, d.x, d.family)
-        iso_choices = []
-        for iota in d.family:
-            fib_u = transport.fiber(site.base.src(iota))
-            e_restr = transport.restrict_obj(iota, e)
-            iso_choices.append(
-                [m for m in sorted(fib_u.hom(e_restr, d.objects[iota])) if fib_u.is_iso(m)]
-            )
-        for combo in itertools.product(*iso_choices):
-            alphas = dict(zip(d.family, combo))
-            if _witnesses_effectiveness(site, transport, d, cmp_datum, alphas):
-                out.append((e, alphas))
-    return out
+    return list(_effectiveness_witnesses(site, transport, d))
 
 
 # -- descent-datum morphisms and the stack verdict ----------------------------
@@ -481,9 +465,9 @@ def stack_verdict(site: FiniteSite, transport: Transport) -> StackVerdict:
         fib_x = transport.fiber(x)
         for fam in site.families(x):
             for e1 in sorted(fib_x.objects):
+                c1 = comparison_datum(site, transport, e1, x, fam)
                 for e2 in sorted(fib_x.objects):
                     globals_ = sorted(fib_x.hom(e1, e2))
-                    c1 = comparison_datum(site, transport, e1, x, fam)
                     c2 = comparison_datum(site, transport, e2, x, fam)
                     images = []
                     for u in globals_:

@@ -344,6 +344,60 @@ def validate_functor(fun: Functor, cod: FinCat | None = None, dom: FinCat | None
     return Verdict(True)
 
 
+def functors(dom: FinCat, cod: FinCat, obj_choices: dict, mor_ok=None, injective=False):
+    """Every functor dom -> cod, in lexicographic order of its assignments.
+
+    The objects of ``dom`` are assigned in sorted order, each to the
+    images ``obj_choices[o]`` in the order given; then its non-identity
+    arrows in sorted id order, each to the sorted arrows of its hom-set in
+    ``cod`` for which ``mor_ok(arrow, image)`` holds.  With ``injective``
+    no image is used twice.  Complete assignments that ``validate_functor``
+    accepts are yielded.  The search keeps one iterator of images per
+    assigned slot on an explicit stack, so its depth costs no recursion.
+    """
+    objs = sorted(dom.objects)
+    # an object is assigned through its identity, so all slots are arrows
+    # and an object image is taken exactly when its identity is
+    slots = [dom.identity[o] for o in objs]
+    slots += sorted(m for m in dom.morphisms if not dom.is_identity(m))
+    # ``taken`` holds the images in use; it is read only when ``injective``
+    # keeps them distinct
+    obj_map, mor_map, taken, stack = {}, {}, set(), []
+
+    def images(depth):
+        if depth < len(objs):
+            cands = [cod.identity[x] for x in obj_choices[objs[depth]]]
+        else:
+            m = dom.morphisms[slots[depth]]
+            cands = [
+                m2
+                for m2 in sorted(cod.hom(obj_map[m.src], obj_map[m.tgt]))
+                if mor_ok is None or mor_ok(m.id, m2)
+            ]
+        return iter([m2 for m2 in cands if not (injective and m2 in taken)])
+
+    while True:
+        if len(stack) == len(slots):
+            cand = Functor(dom, cod, dict(obj_map), dict(mor_map))
+            if validate_functor(cand).ok:
+                yield cand
+        else:
+            stack.append(images(len(stack)))
+        while stack:  # next image for the deepest slot that has one left
+            depth = len(stack) - 1
+            taken.discard(mor_map.pop(slots[depth], None))
+            image = next(stack[-1], None)
+            if image is not None:
+                mor_map[slots[depth]] = image
+                taken.add(image)
+                if depth < len(objs):
+                    obj_map[objs[depth]] = cod.src(image)
+                break
+            stack.pop()
+        else:
+            return
+
+
 def functor_to_json(fun: Functor) -> dict:
     return {"onObjects": dict(sorted(fun.obj_map.items())), "onMorphisms": dict(sorted(fun.mor_map.items()))}
 
@@ -579,40 +633,57 @@ def slice_category(c: FinCat, x: str):
     return sl, proj
 
 
+def elements_fibration(base: FinCat, values: dict, restrictions: dict):
+    """Category of elements of an explicit presheaf, with its projection.
+
+    ``values[x]`` lists element ids over x; ``restrictions[f]`` maps
+    elements over tgt(f) to elements over src(f).  Functoriality of the
+    presheaf is the caller's contract and surfaces as a category error if
+    broken.
+    """
+    objects = []
+    obj_map = {}
+    for x in base.objects:
+        for e in values[x]:
+            oid = f"{e}@{x}"
+            objects.append(oid)
+            obj_map[oid] = x
+    morphisms = []
+    mor_map = {}
+    identity = {}
+    for f in sorted(base.morphisms):
+        a, b = base.src(f), base.tgt(f)
+        for e in values[b]:
+            src = f"{restrictions[f][e]}@{a}"
+            tgt = f"{e}@{b}"
+            mid = f"{f}[{e}]"
+            morphisms.append(Morphism(mid, src, tgt))
+            mor_map[mid] = f
+            if base.is_identity(f):
+                identity[tgt] = mid
+    table = {}
+    by_tgt = {}
+    for m in morphisms:
+        by_tgt.setdefault(m.tgt, []).append(m)
+    for m1 in morphisms:  # m1: over g, into e@c
+        g = mor_map[m1.id]
+        e = m1.id.split("[", 1)[1][:-1]
+        for m2 in by_tgt.get(m1.src, ()):
+            f = mor_map[m2.id]
+            gf = base.compose(g, f)
+            table[(m1.id, m2.id)] = f"{gf}[{e}]"
+    cat = FinCat(objects, morphisms, identity, table)
+    return cat, Functor(cat, base, obj_map, mor_map)
+
+
 def functor_hom_over(c: FinCat, f1: Functor, f2: Functor) -> list[Functor]:
-    """All functors H with P2∘H = P1, found by backtracking search."""
+    """All functors H with P2∘H = P1."""
     d1, d2 = f1.dom, f2.dom
-    obj_candidates = {
+    obj_choices = {
         o: sorted(o2 for o2 in d2.objects if f2.obj_map[o2] == f1.obj_map[o])
         for o in d1.objects
     }
-    results = []
-    objs = sorted(d1.objects)
-    non_identity = sorted(m for m in d1.morphisms if not d1.is_identity(m))
-
-    def assign_morphisms(obj_map):
-        mor_map = {d1.identity[o]: d2.identity[obj_map[o]] for o in objs}
-
-        def backtrack(i):
-            if i == len(non_identity):
-                cand = Functor(d1, d2, dict(obj_map), dict(mor_map))
-                if validate_functor(cand).ok:
-                    results.append(cand)
-                return
-            m = non_identity[i]
-            mm = d1.morphisms[m]
-            for m2 in sorted(d2.hom(obj_map[mm.src], obj_map[mm.tgt])):
-                if f2.mor_map[m2] != f1.mor_map[m]:
-                    continue
-                mor_map[m] = m2
-                backtrack(i + 1)
-                del mor_map[m]
-
-        backtrack(0)
-
-    for combo in itertools.product(*(obj_candidates[o] for o in objs)):
-        assign_morphisms(dict(zip(objs, combo)))
-    return results
+    return list(functors(d1, d2, obj_choices, lambda m, m2: f2.mor_map[m2] == f1.mor_map[m]))
 
 
 @dataclass(frozen=True)
@@ -669,40 +740,9 @@ def find_category_isomorphism(c: FinCat, d: FinCat) -> Functor | None:
     dp = {o: _object_profile(d, o) for o in d.objects}
     if sorted(cp.values()) != sorted(dp.values()):
         return None
-    objs = sorted(c.objects)
-
-    def extend_morphisms(obj_map):
-        nonid = sorted(m for m in c.morphisms if not c.is_identity(m))
-        mor_map = {c.identity[o]: d.identity[obj_map[o]] for o in objs}
-        used = set(mor_map.values())
-
-        def backtrack(i):
-            if i == len(nonid):
-                cand = Functor(c, d, dict(obj_map), dict(mor_map))
-                return cand if validate_functor(cand).ok else None
-            m = c.morphisms[nonid[i]]
-            for m2 in sorted(d.hom(obj_map[m.src], obj_map[m.tgt])):
-                if m2 in used or d.is_identity(m2):
-                    continue
-                mor_map[nonid[i]] = m2
-                used.add(m2)
-                got = backtrack(i + 1)
-                if got is not None:
-                    return got
-                used.discard(m2)
-                del mor_map[nonid[i]]
-            return None
-
-        return backtrack(0)
-
-    for combo in itertools.permutations(sorted(d.objects)):
-        obj_map = dict(zip(objs, combo))
-        if any(cp[o] != dp[obj_map[o]] for o in objs):
-            continue
-        got = extend_morphisms(obj_map)
-        if got is not None:
-            return got
-    return None
+    # a functor injective on objects and arrows between equal counts is bijective
+    obj_choices = {o: [o2 for o2 in d.objects if dp[o2] == cp[o]] for o in c.objects}
+    return next(functors(c, d, obj_choices, injective=True), None)
 
 
 def categories_isomorphic(c: FinCat, d: FinCat) -> bool:

@@ -21,9 +21,11 @@ from .fincat import (
     Verdict,
     categories_isomorphic,
     category_to_json,
+    compose_functors,
     fiber,
     functor_from_json,
     functor_to_json,
+    identity_functor,
     is_cartesian,
     is_fibered,
     validate_category,
@@ -107,8 +109,7 @@ def validate_pseudofunctor(p: PseudoFunctor) -> Verdict:
 
     for s in base.objects:
         fib = p.fibers[s]
-        ident = _identity_endofunctor(fib)
-        v = _is_natural(fib, fib, p.pullbacks[base.identity[s]], ident, p.epsilon.get(s, {}))
+        v = _is_natural(fib, fib, p.pullbacks[base.identity[s]], identity_functor(fib), p.epsilon.get(s, {}))
         if not v.ok:
             return Verdict(False, f"epsilon at {s}: {v.reason}", (s,) + (v.witness or ()))
 
@@ -119,7 +120,7 @@ def validate_pseudofunctor(p: PseudoFunctor) -> Verdict:
         gf = base.compose(g, f)
         src_fib = p.fibers[base.tgt(g)]
         tgt_fib = p.fibers[base.src(f)]
-        composite_fun = _compose_pullbacks(p, f, g)
+        composite_fun = compose_functors(p.pullbacks[f], p.pullbacks[g])
         v = _is_natural(src_fib, tgt_fib, composite_fun, p.pullbacks[gf], comp)
         if not v.ok:
             return Verdict(False, f"alpha at ({f},{g}): {v.reason}", (f, g) + (v.witness or ()))
@@ -156,21 +157,6 @@ def validate_pseudofunctor(p: PseudoFunctor) -> Verdict:
     return Verdict(True)
 
 
-def _identity_endofunctor(c: FinCat) -> Functor:
-    return Functor(c, c, {o: o for o in c.objects}, {m: m for m in c.morphisms})
-
-
-def _compose_pullbacks(p: PseudoFunctor, f: str, g: str) -> Functor:
-    """f* ∘ g* for a composable pair (f, g)."""
-    gs, fs = p.pullbacks[g], p.pullbacks[f]
-    return Functor(
-        gs.dom,
-        fs.cod,
-        {o: fs.obj_map[gs.obj_map[o]] for o in gs.dom.objects},
-        {m: fs.mor_map[gs.mor_map[m]] for m in gs.dom.morphisms},
-    )
-
-
 def strict_pseudofunctor(base: FinCat, fibers: dict, pullbacks: dict) -> PseudoFunctor:
     """Identity epsilon/alpha tables; valid iff the assignment is strictly functorial."""
     epsilon = {s: {o: fibers[s].identity[o] for o in fibers[s].objects} for s in base.objects}
@@ -179,13 +165,9 @@ def strict_pseudofunctor(base: FinCat, fibers: dict, pullbacks: dict) -> PseudoF
         for g in base.morphisms:
             if base.composable(g, f):
                 fib_q = fibers[base.src(f)]
-                comp = _compose_pullbacks_raw(pullbacks[f], pullbacks[g])
+                comp = compose_functors(pullbacks[f], pullbacks[g]).obj_map
                 alpha[(f, g)] = {s: fib_q.identity[comp[s]] for s in fibers[base.tgt(g)].objects}
     return PseudoFunctor(base, fibers, pullbacks, epsilon, alpha)
-
-
-def _compose_pullbacks_raw(fs: Functor, gs: Functor) -> dict:
-    return {o: fs.obj_map[gs.obj_map[o]] for o in gs.dom.objects}
 
 
 # -- total category ----------------------------------------------------------

@@ -285,3 +285,13 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "equilateral" in proc.stdout
+
+
+def test_cli_import_leaves_the_test_generators_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tristack.cli; print('tristack.corpus' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

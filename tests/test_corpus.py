@@ -51,6 +51,22 @@ class TestCategoryCorpus:
             assert is_groupoid(fiber(corpus.identity_endofunctor(cat), cat.objects[0]))
 
 
+    def test_stock_groups_keep_their_ids_and_tables(self):
+        from tristack.fincat import group_category
+
+        z2 = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
+        els = ["e", "r", "r2"]
+        z3 = {(a, b): els[(els.index(a) + els.index(b)) % 3] for a in els for b in els}
+        for got, want in (
+            (corpus.z2_category(), group_category(["e", "s"], z2)),
+            (corpus.z3_category(), group_category(els, z3, name="r")),
+        ):
+            assert list(got.morphisms.values()) == list(want.morphisms.values())
+            assert list(got.table.items()) == list(want.table.items())
+            assert got.identity == want.identity
+        assert list(corpus.z3_category().morphisms) == ["id_*", "r:r", "r:r2"]
+
+
 class TestSiteCorpus:
     def test_stock_sites_valid(self):
         for site in (corpus.site_two_point_space(), corpus.site_chain(3), corpus.site_three_atoms()):
