@@ -24,13 +24,17 @@ class InputError(Exception):
 
 
 def _load_json(path):
+    """The JSON object in the file; every input file holds one at its top level."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
     except json.JSONDecodeError as err:
         raise InputError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: expected a JSON object at the top level, got {type(raw).__name__}")
+    return raw
 
 
 # -- subcommand implementations (report dict, exit code) -------------------------
@@ -80,6 +84,8 @@ def _site_from_file(path):
 
 
 def _transport_from_descriptor(site, desc, path):
+    if not isinstance(desc, dict):
+        raise InputError(f"{path}: fibered: expected a JSON object, got {type(desc).__name__}")
     kind = desc.get("kind")
     try:
         if kind == "slice":
@@ -260,6 +266,8 @@ def cmd_coarse_check(args):
     beta = families.INVARIANTS[args.invariant]
     if args.families:
         fams = [_family_from_file(p) for p in args.families]
+    elif args.corpus_size < 1:
+        raise InputError("--corpus-size must be >= 1")
     else:
         from . import corpus  # test generators, kept off the import path of every other subcommand
 

@@ -22,12 +22,15 @@ from .families import (
     FamilyError,
     GraphMap,
     PLFamily,
+    _chart_candidates,
     chart_reparam,
     compose_graph_maps,
     family_from_json,
     family_to_json,
     graph_map,
+    path_reparam,
     pullback_family,
+    twist_family,
     validate_family,
 )
 from .fincat import Verdict
@@ -158,13 +161,12 @@ def _leg_candidates(chart1, glue1, chart2, glue2, pin):
     both sides; the transported center permutation glue2 ∘ tau ∘ glue1^-1
     must hit the pinned value.
     """
-    from .families import _chart_candidates
-
-    cuts1 = {k: chart_reparam(chart1, Fraction(0), Fraction(1, 2 ** k)) for k in range(MAX_GERM_DEPTH + 1)}
-    cuts2 = {k: chart_reparam(chart2, Fraction(0), Fraction(1, 2 ** k)) for k in range(MAX_GERM_DEPTH + 1)}
-    for k1 in range(MAX_GERM_DEPTH + 1):
-        for k2 in range(MAX_GERM_DEPTH + 1):
-            for tau in _chart_candidates(cuts1[k1], cuts2[k2]):
+    radii = [Fraction(1, 2 ** k) for k in range(MAX_GERM_DEPTH + 1)]
+    cuts1 = [path_reparam(chart1, 0, h) for h in radii]
+    cuts2 = [path_reparam(chart2, 0, h) for h in radii]
+    for k1, cut1 in enumerate(cuts1):
+        for k2, cut2 in enumerate(cuts2):
+            for tau in _chart_candidates(cut1, cut2):
                 if compose(glue2, compose(tau, inverse(glue1))) == pin:
                     return (tau, k1, k2)
     return None
@@ -204,8 +206,6 @@ def are_equivalent(d1: Deformation, d2: Deformation) -> GermEquivalence:
 
 def twist_deformation(d: Deformation, sigma: str) -> Deformation:
     """Equivalent copy: family twisted globally, marking adjusted to match."""
-    from .families import twist_family
-
     return Deformation(
         d.triangle, twist_family(d.family, sigma), d.basepoint, compose(sigma, d.marking)
     )

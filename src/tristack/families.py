@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 
 from . import trigeo
 from .trigeo import (
@@ -153,9 +155,71 @@ def graph(vertices, edges) -> BaseGraph:
     return BaseGraph(vertices, [Edge(*e) if not isinstance(e, Edge) else e for e in edges])
 
 
+# -- PL paths ------------------------------------------------------------------
+# A PL path is a tuple of (time, point) pairs whose exact times rise
+# strictly from 0 to 1; a point is a coordinate triple, a tuple or a
+# TriangleLengths (both iterate over their coordinates).  Charts and the
+# samples of a PLMap are PL paths, served by one evaluator, one merge walk
+# and one reparametrisation.
+
+_time = itemgetter(0)
+_XYZ = attrgetter("x", "y", "z")
+
+
+def _lerp(p0, p1, t: Fraction):
+    """The coordinates at t of the path segment from p0 to p1 (t0 < t < t1)."""
+    (t0, v0), (t1, v1) = p0, p1
+    lam = (t - t0) / (t1 - t0)
+    return tuple(a + lam * (b - a) for a, b in zip(v0, v1))
+
+
+def path_value(path, t) -> tuple:
+    """The coordinates of the path at t."""
+    t = t if type(t) is Fraction else Fraction(t)
+    if not F0 <= t <= F1:
+        raise FamilyError(f"chart parameter {t} outside [0,1]")
+    i = bisect_left(path, t, key=_time)
+    if path[i][0] == t:
+        return tuple(path[i][1])
+    return _lerp(path[i - 1], path[i], t)
+
+
+def path_merge(p, q):
+    """(t, p(t), q(t)) at the joint breakpoints of two paths, t rising.
+
+    A two-pointer walk: each path is interpolated only at the other
+    path's inner breakpoints.  ``tuple`` would read both kinds of point;
+    ``_XYZ`` reads a TriangleLengths three times faster than its ``__iter__``.
+    """
+    xyz_p = tuple if type(p[0][1]) is tuple else _XYZ
+    xyz_q = tuple if type(q[0][1]) is tuple else _XYZ
+    i = j = 0
+    while i < len(p):
+        (s, u), (t, v) = p[i], q[j]
+        if s == t:
+            yield s, xyz_p(u), xyz_q(v)
+            i, j = i + 1, j + 1
+        elif s < t:
+            yield s, xyz_p(u), _lerp(q[j - 1], q[j], s)
+            i += 1
+        else:
+            yield t, _lerp(p[i - 1], p[i], t), xyz_q(v)
+            j += 1
+
+
+def path_reparam(path, a, b) -> tuple:
+    """The path of s -> path(a + (b-a) s) with coordinate points; reverses when b < a."""
+    a, b = Fraction(a), Fraction(b)
+    if a == b:
+        raise FamilyError("degenerate reparametrization")
+    start, end = path_value(path, a), path_value(path, b)
+    inner = path[bisect_right(path, min(a, b), key=_time):bisect_left(path, max(a, b), key=_time)]
+    inner = [((t - a) / (b - a), tuple(v)) for t, v in inner]
+    return ((F0, start), *(inner if a < b else reversed(inner)), (F1, end))
+
+
 # -- charts --------------------------------------------------------------------
-# A chart is a tuple of (time, TriangleLengths) with strictly increasing
-# exact times from 0 to 1.
+# A chart is a PL path of TriangleLengths.
 
 
 def make_chart(points) -> tuple:
@@ -173,38 +237,8 @@ def make_chart(points) -> tuple:
     return tuple(out)
 
 
-def chart_breaks(chart):
-    return [t for t, _ in chart]
-
-
-def _lerp(p0, p1, t: Fraction):
-    """The value at t of the chart segment from p0 to p1 (t0 < t < t1)."""
-    (t0, v0), (t1, v1) = p0, p1
-    lam = (t - t0) / (t1 - t0)
-    return tuple(ai + lam * (bi - ai) for ai, bi in zip(v0.astuple(), v1.astuple()))
-
-
-def chart_eval_tuple(chart, t: Fraction):
-    t = Fraction(t)
-    if not F0 <= t <= F1:
-        raise FamilyError(f"chart parameter {t} outside [0,1]")
-    for p0, p1 in zip(chart, chart[1:]):
-        if p0[0] <= t <= p1[0]:
-            if t == p0[0]:
-                return p0[1].astuple()
-            if t == p1[0]:
-                return p1[1].astuple()
-            return _lerp(p0, p1, t)
-    raise FamilyError(f"chart parameter {t} not covered")
-
-
 def chart_eval(chart, t) -> TriangleLengths:
-    return TriangleLengths(*chart_eval_tuple(chart, t))
-
-
-def chart_refine(chart, times):
-    ts = sorted(set(chart_breaks(chart)) | {Fraction(t) for t in times})
-    return tuple((t, chart_eval(chart, t)) for t in ts)
+    return TriangleLengths(*path_value(chart, t))
 
 
 def chart_act(g: str, chart):
@@ -213,16 +247,7 @@ def chart_act(g: str, chart):
 
 def chart_reparam(chart, a: Fraction, b: Fraction):
     """Chart of t -> old(a + (b-a) t); reverses when b < a."""
-    a, b = Fraction(a), Fraction(b)
-    if a == b:
-        raise FamilyError("degenerate reparametrization")
-    inner = [
-        (t - a) / (b - a)
-        for t in chart_breaks(chart)
-        if min(a, b) < t < max(a, b)
-    ]
-    ts = sorted({F0, F1, *inner})
-    return tuple((s, chart_eval(chart, a + (b - a) * s)) for s in ts)
+    return tuple((s, TriangleLengths(*v)) for s, v in path_reparam(chart, a, b))
 
 
 # -- families ------------------------------------------------------------------
@@ -489,17 +514,7 @@ class PLMap:
     samples: dict
 
     def eval_edge(self, e, t):
-        t = Fraction(t)
-        pts = self.samples[e]
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                if t == t0:
-                    return tuple(v0)
-                if t == t1:
-                    return tuple(v1)
-                lam = (t - t0) / (t1 - t0)
-                return tuple(a + lam * (b - a) for a, b in zip(v0, v1))
-        raise FamilyError(f"parameter {t} not covered on edge {e}")
+        return path_value(self.samples[e], t)
 
     def breakpoints(self, e):
         return [t for t, _ in self.samples[e]]
@@ -514,10 +529,8 @@ def plmaps_equal(m1: PLMap, m2: PLMap) -> bool:
         if tuple(m1.vertex_values[v]) != tuple(m2.vertex_values[v]):
             return False
     for e in m1.base.edges:
-        ts = sorted(set(m1.breakpoints(e)) | set(m2.breakpoints(e)))
-        for t in ts:
-            if m1.eval_edge(e, t) != m2.eval_edge(e, t):
-                return False
+        if any(u != v for _, u, v in path_merge(m1.samples[e], m2.samples[e])):
+            return False
     return True
 
 
@@ -536,13 +549,7 @@ def pullback_plmap(m: GraphMap, pm: PLMap) -> PLMap:
             samples[eid] = ((F0, val), (F1, val))
             continue
         _, ce, a, b = img
-        inner = [
-            (t - a) / (b - a)
-            for t in pm.breakpoints(ce)
-            if min(a, b) < t < max(a, b)
-        ]
-        ts = sorted({F0, F1, *inner})
-        samples[eid] = tuple((s, pm.eval_edge(ce, a + (b - a) * s)) for s in ts)
+        samples[eid] = path_reparam(pm.samples[ce], a, b)
     return PLMap(m.dom, vertex_values, samples)
 
 
@@ -557,18 +564,11 @@ def classify_to_M(fam: PLFamily) -> PLMap:
     )
 
 
-def _sort_crossings(chart):
-    """Times where two coordinates of the PL path cross strictly."""
-    times = []
-    for (t0, v0), (t1, v1) in zip(chart, chart[1:]):
-        a, b = v0.astuple(), v1.astuple()
-        for p in range(3):
-            for q in range(p + 1, 3):
-                d0 = a[p] - a[q]
-                d1 = b[p] - b[q]
-                if (d0 > 0 and d1 < 0) or (d0 < 0 and d1 > 0):
-                    times.append(t0 + (t1 - t0) * d0 / (d0 - d1))
-    return times
+def _crossings(p0, p1):
+    """Times, rising, strictly inside the path segment p0-p1 where two coordinates cross."""
+    (t0, a), (t1, b) = (p0[0], tuple(p0[1])), (p1[0], tuple(p1[1]))
+    diffs = ((a[p] - a[q], b[p] - b[q]) for p, q in ((0, 1), (0, 2), (1, 2)))
+    return sorted({t0 + (t1 - t0) * d0 / (d0 - d1) for d0, d1 in diffs if d0 > 0 > d1 or d0 < 0 < d1})
 
 
 def classify_to_N(fam: PLFamily) -> PLMap:
@@ -580,11 +580,14 @@ def classify_to_N(fam: PLFamily) -> PLMap:
     """
     samples = {}
     for e, chart in fam.charts.items():
-        refined = chart_refine(chart, _sort_crossings(chart))
-        samples[e] = tuple((t, tuple(sorted(v.astuple()))) for t, v in refined)
+        out = [(F0, tuple(sorted(chart[0][1])))]
+        for p0, p1 in zip(chart, chart[1:]):
+            out += [(t, tuple(sorted(_lerp(p0, p1, t)))) for t in _crossings(p0, p1)]
+            out.append((p1[0], tuple(sorted(p1[1]))))
+        samples[e] = tuple(out)
     return PLMap(
         fam.base,
-        {v: tuple(sorted(t.astuple())) for v, t in fam.vertex_lengths.items()},
+        {v: tuple(sorted(t)) for v, t in fam.vertex_lengths.items()},
         samples,
     )
 
@@ -708,7 +711,7 @@ def is_scalene_everywhere(fam: PLFamily) -> bool:
         for t, v in chart:
             if len(set(v.astuple())) != 3:
                 return False
-        if _sort_crossings(chart):
+        if any(_crossings(p0, p1) for p0, p1 in zip(chart, chart[1:])):
             return False
     return all(len(set(t.astuple())) == 3 for t in fam.vertex_lengths.values())
 
@@ -754,25 +757,12 @@ class IsoResult:
 
 
 def _chart_candidates(f_chart, g_chart):
-    """Permutations tau with tau . f_chart == g_chart at all joint breakpoints.
-
-    One merge walk over both charts' breakpoints (both run from 0 to 1);
-    a chart is interpolated only at the other chart's inner breakpoints.
-    """
-    cands = list(PERMS)
-    i = j = 0
-    while cands and i < len(f_chart):
-        (tf, vf), (tg, vg) = f_chart[i], g_chart[j]
-        if tf == tg:
-            a, b = vf.astuple(), vg.astuple()
-            i, j = i + 1, j + 1
-        elif tf < tg:
-            a, b = vf.astuple(), _lerp(g_chart[j - 1], g_chart[j], tf)
-            i += 1
-        else:
-            a, b = _lerp(f_chart[i - 1], f_chart[i], tg), vg.astuple()
-            j += 1
+    """Permutations tau with tau . f_chart == g_chart at all joint breakpoints."""
+    cands = PERMS
+    for _, a, b in path_merge(f_chart, g_chart):
         cands = [tau for tau in cands if act_tuple(tau, a) == b]
+        if not cands:
+            break
     return cands
 
 
@@ -992,20 +982,18 @@ def check_coarse_factorization(beta: InvariantAssignment, corpus) -> CoarseVerdi
                 if beta(val) != beta(fiber_at(fam, map_point(sub, _as_point(where)))):
                     return CoarseVerdict("not-natural", (0, "pullback", where))
 
-    def mu(sorted_tuple):
-        return beta(point_family(TriangleLengths(*sorted_tuple)).vertex_lengths["p"])
-
+    # the factor on N is beta on the sorted triple
     for idx, fam in enumerate(corpus):
         nmap = classify_to_N(fam)
         for v in sorted(fam.vertex_lengths):
             lhs = beta(fam.vertex_lengths[v])
-            rhs = mu(nmap.vertex_values[v])
+            rhs = beta(TriangleLengths(*nmap.vertex_values[v]))
             if lhs != rhs:
                 return CoarseVerdict("mismatch", (idx, "vertex", v, lhs, rhs))
         for e in sorted(fam.charts):
-            for t in nmap.breakpoints(e):
-                lhs = beta(chart_eval(fam.charts[e], t))
-                rhs = mu(nmap.eval_edge(e, t))
+            for t, m, n in path_merge(fam.charts[e], nmap.samples[e]):
+                lhs = beta(TriangleLengths(*m))
+                rhs = beta(TriangleLengths(*n))
                 if lhs != rhs:
                     return CoarseVerdict("mismatch", (idx, e, t, lhs, rhs))
     return CoarseVerdict("factors")

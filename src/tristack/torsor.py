@@ -147,9 +147,9 @@ class SimplicialBase:
         ids = list(self.vertices) + list(self.edges) + list(self.faces)
         if len(set(ids)) != len(ids):
             raise TorsorError("cell ids must be globally unique")
-        vertex_set = set(self.vertices)
+        self.vertex_set = frozenset(self.vertices)
         for e in self.edges.values():
-            if e.frm not in vertex_set or e.to not in vertex_set:
+            if e.frm not in self.vertex_set or e.to not in self.vertex_set:
                 raise TorsorError(f"edge {e.id} has unknown endpoint")
         for f in self.faces.values():
             if len(f.boundary) != 3:
@@ -214,7 +214,7 @@ def is_subcomplex(base: SimplicialBase, cells: frozenset) -> bool:
         elif c in base.faces:
             if any(eid not in cells for eid, _ in base.faces[c].boundary):
                 return False
-        elif c not in base.vertices:
+        elif c not in base.vertex_set:
             return False
     return True
 
@@ -420,23 +420,28 @@ def validate_glue_data(g: GlueData) -> Verdict:
         covered |= cells
     if covered != base.cells():
         return Verdict(False, "pieces do not cover the base", tuple(sorted(base.cells() - covered)))
-    for i in range(len(g.pieces)):
-        for j in range(i + 1, len(g.pieces)):
-            overlap = g.pieces[i] & g.pieces[j]
-            table = g.transitions.get((i, j), {})
-            if set(table) != overlap:
-                return Verdict(False, "transition table does not match the overlap", (i, j))
-            for e in overlap:
-                if e in base.edges:
-                    ed = base.edges[e]
-                    if table[e] != table[ed.frm] or table[e] != table[ed.to]:
-                        return Verdict(False, "transition not constant along an edge", (i, j, e))
-                elif e in base.faces:
-                    for eid, _ in base.faces[e].boundary:
-                        if table[e] != table[eid]:
-                            return Verdict(False, "transition not constant along a face", (i, j, e))
-    # only piece triples that share a cell can fail, taken in lexicographic order
-    triples = {t for owners in _pieces_by_cell(g.pieces).values() for t in itertools.combinations(owners, 3)}
+    # only pairs i < j that share a cell or carry a table can fail, and only
+    # triples that share a cell; each taken in lexicographic order
+    owners = _pieces_by_cell(g.pieces).values()
+    n = len(g.pieces)
+    pairs = {p for idxs in owners for p in itertools.combinations(idxs, 2)}
+    tabled = (k for k in g.transitions if isinstance(k, tuple) and len(k) == 2)
+    pairs.update((int(i), int(j)) for i, j in tabled if i in range(n) and j in range(n) and i < j)
+    for i, j in sorted(pairs):
+        overlap = g.pieces[i] & g.pieces[j]
+        table = g.transitions.get((i, j), {})
+        if set(table) != overlap:
+            return Verdict(False, "transition table does not match the overlap", (i, j))
+        for e in overlap:
+            if e in base.edges:
+                ed = base.edges[e]
+                if table[e] != table[ed.frm] or table[e] != table[ed.to]:
+                    return Verdict(False, "transition not constant along an edge", (i, j, e))
+            elif e in base.faces:
+                for eid, _ in base.faces[e].boundary:
+                    if table[e] != table[eid]:
+                        return Verdict(False, "transition not constant along a face", (i, j, e))
+    triples = {t for idxs in owners for t in itertools.combinations(idxs, 3)}
     for i, j, k in sorted(triples):
         triple = g.pieces[i] & g.pieces[j] & g.pieces[k]
         for cell in triple:
@@ -482,15 +487,11 @@ def glue_descent(g: GlueData):
 
     witnesses = {}
     for idx, cells in enumerate(g.pieces):
-        gauge = {
-            v2: g.alpha(idx, home[v2], v2)
-            for v2 in base.vertices
-            if v2 in cells
-        }
-        restricted = restrict_torsor(torsor, cells)
-        gauged = gauge_transform(restricted, gauge)
-        if any(val != grp.identity for val in gauged.transitions.values()):
-            raise CocycleFails(("glued torsor does not restrict to the trivial piece", idx))
+        # the gauge trivialising the glued torsor on the piece, checked on the piece's own edges
+        gauge = {v: g.alpha(idx, home[v], v) for v in sorted(base.vertex_set & cells)}
+        for e in (base.edges[c] for c in cells if c in base.edges):
+            if grp.mul(grp.inverse(gauge[e.frm]), grp.mul(transitions[e.id], gauge[e.to])) != grp.identity:
+                raise CocycleFails(("glued torsor does not restrict to the trivial piece", idx))
         witnesses[idx] = gauge
     return torsor, witnesses
 

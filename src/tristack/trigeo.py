@@ -128,6 +128,9 @@ class TriangleLengths:
     def astuple(self):
         return (self.x, self.y, self.z)
 
+    def __iter__(self):
+        return iter((self.x, self.y, self.z))
+
     def __repr__(self):
         return f"TriangleLengths({self.x}, {self.y}, {self.z})"
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from tristack import corpus, descent, families, grothendieck, torsor
 from tristack.cli import main
@@ -235,6 +236,42 @@ class TestCoarseCheck:
     def test_unknown_invariant(self, capsys):
         code, out = run(capsys, "coarse-check", "volume")
         assert code == 2
+
+
+class TestInputContract:
+    """Malformed input exits 2 with one message, never 3 or a traceback."""
+
+    FILE_COMMANDS = [
+        ["site-check", "{f}"],
+        ["stack-check", "{f}"],
+        ["groth-roundtrip", "{f}"],
+        ["descent-glue", "{f}"],
+        ["family-iso", "{f}", "{f}"],
+        ["orientable", "{f}"],
+        ["coarse-check", "perimeter", "--families", "{f}"],
+    ]
+
+    @pytest.mark.parametrize("top", ["5", "[1]", '"x"', "null"])
+    @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
+    def test_top_level_not_an_object_exits_two(self, tmp_path, capsys, argv, top):
+        p = tmp_path / "in.json"
+        p.write_text(top + "\n")
+        code = main([a.format(f=p) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "expected a JSON object at the top level" in captured.out
+        assert "Traceback" not in captured.out + captured.err and captured.err == ""
+
+    def test_fibered_not_an_object_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps({"site": descent.site_to_json(corpus.site_two_point_space()), "fibered": 3}))
+        code, out = run(capsys, "stack-check", str(p))
+        assert code == 2 and "fibered: expected a JSON object" in out
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_corpus_size_below_one_exits_two(self, capsys, size):
+        code, out = run(capsys, "coarse-check", "perimeter", "--corpus-size", size)
+        assert code == 2 and "--corpus-size must be >= 1" in out
 
 
 class TestPlotData:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from tristack import corpus, deform, families, torsor, trigeo
 from tristack.cli import main
-from tristack.families import FamilyError, _chart_candidates, chart_breaks, chart_eval_tuple, graph
+from tristack.families import FamilyError, _chart_candidates, graph, path_value
 from tristack.trigeo import PERMS, NotInM, RationalReader, TriangleLengths, act, act_tuple, compose, inverse
 
 F = Fraction
@@ -107,9 +107,9 @@ class TestActWithoutRecheck:
 
 
 def brute_candidates(f_chart, g_chart):
-    ts = sorted(set(chart_breaks(f_chart)) | set(chart_breaks(g_chart)))
+    ts = sorted({t for t, _ in f_chart} | {t for t, _ in g_chart})
     return [tau for tau in PERMS
-            if all(act_tuple(tau, chart_eval_tuple(f_chart, t)) == chart_eval_tuple(g_chart, t) for t in ts)]
+            if all(act_tuple(tau, path_value(f_chart, t)) == path_value(g_chart, t) for t in ts)]
 
 
 @st.composite
@@ -127,8 +127,8 @@ def chart_pairs(draw):
                     + [(F(1), draw(st.sampled_from(fibers)))])
     tau = draw(st.sampled_from(PERMS))
     extra = set(draw(st.lists(st.sampled_from([F(k, 24) for k in range(1, 24, 2)]), max_size=3)))
-    g_times = sorted(set(chart_breaks(f_chart)) | extra)
-    g_chart = tuple((t, TriangleLengths(*act_tuple(tau, chart_eval_tuple(f_chart, t)))) for t in g_times)
+    g_times = sorted({t for t, _ in f_chart} | extra)
+    g_chart = tuple((t, TriangleLengths(*act_tuple(tau, path_value(f_chart, t)))) for t in g_times)
     if draw(st.booleans()):
         # break agreement at one breakpoint of g
         k = draw(st.integers(0, len(g_chart) - 1))

@@ -147,13 +147,13 @@ def oracle_is_orientable(fam):
 
 
 def _oracle_candidates(f_chart, g_chart):
-    from tristack.families import chart_breaks, chart_eval_tuple
+    from tristack.families import path_value
     from tristack.trigeo import act_tuple
 
-    ts = sorted(set(chart_breaks(f_chart)) | set(chart_breaks(g_chart)))
+    ts = sorted({t for t, _ in f_chart} | {t for t, _ in g_chart})
     return [
         tau for tau in PERMS
-        if all(act_tuple(tau, chart_eval_tuple(f_chart, t)) == chart_eval_tuple(g_chart, t) for t in ts)
+        if all(act_tuple(tau, path_value(f_chart, t)) == path_value(g_chart, t) for t in ts)
     ]
 
 
