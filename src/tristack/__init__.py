@@ -7,6 +7,7 @@ Subpackages by concern:
 - ``descent``       finite sites, descent data, stack verdicts
 - ``trigeo``        the edge-length cone M, its S3 action, the quotient N
 - ``families``      piecewise-linear triangle families over graph bases
+- ``groups``        finite groups by multiplication table
 - ``torsor``        discrete principal bundles over simplicial complexes
 - ``deform``        deformation germs of a fixed triangle
 - ``corpus``        seeded generators used by the test and acceptance suites

@@ -63,9 +63,17 @@ def cmd_classify(args):
     return report, 0, text
 
 
+def _site_axioms(site):
+    """The verdict on T1-T3; a pullback that T2 needs and the base lacks fails T2."""
+    try:
+        return descent.validate_site(site)
+    except descent.MissingPullback as err:
+        return fincat.Verdict(False, "T2 fails: no pullback", err.args[0])
+
+
 def cmd_site_check(args):
     site = _site_from_file(args.site)
-    v = descent.validate_site(site)
+    v = _site_axioms(site)
     if v.ok:
         return {"valid": True}, 0, "site axioms T1-T3 hold"
     return (
@@ -114,7 +122,7 @@ def cmd_stack_check(args):
         site = descent.site_from_json(raw["site"])
     except Exception as err:
         raise InputError(f"{args.input}: site: {err}")
-    sv = descent.validate_site(site)
+    sv = _site_axioms(site)
     if not sv.ok:
         raise InputError(f"{args.input}: site axioms fail: {sv.reason} at {sv.witness}")
     transport = _transport_from_descriptor(site, raw["fibered"], args.input)

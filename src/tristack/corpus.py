@@ -31,22 +31,19 @@ from .fincat import (
 PERMS_POOL = trigeo.PERMS
 from .grothendieck import PseudoFunctor, strict_pseudofunctor
 from .descent import FiniteSite, jointly_covering_site
+from .groups import group_z2, group_z3
 
 
 # -- stock groups as one-object categories ------------------------------------
-# torsor's tables read "a then b"; both groups are abelian, so that is also a∘b
+# the stock tables read "a then b"; both groups are abelian, so that is also a∘b
 
 
 def z2_category():
-    from .torsor import group_z2
-
     grp = group_z2()
     return group_category(grp.elements, grp.table)
 
 
 def z3_category():
-    from .torsor import group_z3
-
     grp = group_z3()
     return group_category(grp.elements, grp.table, name="r")
 

@@ -11,7 +11,6 @@ a germ only sees the basepoint's side of each incident edge.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -310,8 +309,3 @@ def deformation_from_json(raw: dict) -> Deformation:
     fam = family_from_json(raw)
     t = RationalReader(FamilyError).lengths(raw["triangle"], "triangle")
     return deformation(t, fam, raw["basepoint"], raw.get("marking", "e"))
-
-
-def load_deformation(path) -> Deformation:
-    with open(path, encoding="utf-8") as fh:
-        return deformation_from_json(json.load(fh))

@@ -13,7 +13,6 @@ data only up to canonical isomorphism, so both choices are pinned.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .fincat import (
@@ -58,6 +57,7 @@ class FiniteSite:
             x: sorted({_canonical_family(fam) for fam in fams}) for x, fams in coverings.items()
         }
         self._chosen = dict(pullback_choice or {})
+        self._triples = {}
 
     def families(self, x: str):
         return list(self.coverings.get(x, ()))
@@ -74,9 +74,35 @@ class FiniteSite:
             self._chosen[key] = sq
         return self._chosen[key]
 
+    def triple_overlap(self, i: str, j: str, k: str):
+        """Common overlap of covering arrows i, j, k into one object, kept once built.
+
+        It is (overlap of i and j) x (piece k) under the chosen pullbacks.
+        Returns its apex and, for the pairs (i, j), (i, k), (k, j) in turn,
+        the arrow from it into the pair's overlap together with the
+        pair's legs in slot order.
+        """
+        if (i, j, k) not in self._triples:
+            base = self.base
+            _, leg_i, leg_j = _pair_legs(self, i, j)
+            top = self.chosen_pullback(base.compose(i, leg_i), k)
+            w, a, b = top.apex, top.to_left, top.to_right
+            c_i, c_j = base.compose(leg_i, a), base.compose(leg_j, a)
+
+            def into(p, q, c_p, c_q):
+                sq, lp, lq = _pair_legs(self, p, q)
+                return _mediating(self, base, w, sq, lp, c_p, lq, c_q), lp, lq
+
+            self._triples[(i, j, k)] = (w, ((a, leg_i, leg_j), into(i, k, c_i, b), into(k, j, b, c_j)))
+        return self._triples[(i, j, k)]
+
 
 def validate_site(site: FiniteSite) -> Verdict:
-    """Covering axioms T1-T3, checked exhaustively with witnesses."""
+    """Covering axioms T1-T3 with the first failing instance as witness.
+
+    A pullback that T2 needs and the base lacks raises MissingPullback
+    with the instance (x, family, f, iota).
+    """
     base = site.base
     for x, fams in site.coverings.items():
         if x not in base.objects:
@@ -99,20 +125,37 @@ def validate_site(site: FiniteSite) -> Verdict:
             for f in base.into_obj(x):
                 pulled = []
                 for iota in fam:
-                    sq = site.chosen_pullback(f, iota)
+                    try:
+                        sq = site.chosen_pullback(f, iota)
+                    except MissingPullback:
+                        raise MissingPullback((x, fam, f, iota)) from None
                     pulled.append(sq.to_left)
                 if not site.has_family(base.src(f), pulled):
                     return Verdict(False, "T2 fails: pulled-back family not a covering", (x, fam, f))
 
-    # (T3) composition of coverings
+    # (T3) composition of coverings.  Whether a choice of one covering per
+    # piece composes to a covering depends only on the union of the
+    # composites, so the pieces are folded in one at a time and each
+    # distinct partial union keeps only its lexicographically first prefix.
+    # Two prefixes with one union extend alike, so the first failing choice
+    # of the full product survives, and it comes first among the survivors.
     for x in base.objects:
         for fam in site.families(x):
-            per_piece = [site.families(base.src(iota)) for iota in fam]
-            for choice in itertools.product(*per_piece):
-                composed = []
-                for iota, sub in zip(fam, choice):
-                    composed.extend(base.compose(iota, phi) for phi in sub)
-                if not site.has_family(x, composed):
+            unions = {frozenset(): ()}
+            for iota in fam:
+                subs = [
+                    (sub, frozenset(base.compose(iota, phi) for phi in sub))
+                    for sub in site.families(base.src(iota))
+                ]
+                grown = {}
+                for union, prefix in unions.items():
+                    for sub, composed in subs:
+                        key = union | composed
+                        if key not in grown:
+                            grown[key] = prefix + (sub,)
+                unions = grown
+            for union, choice in unions.items():
+                if not site.has_family(x, union):
                     return Verdict(False, "T3 fails: composed family not a covering", (x, fam, choice))
     return Verdict(True)
 
@@ -253,40 +296,218 @@ def _mediating(site: FiniteSite, base: FinCat, w: str, sq: PullbackSquare,
     return found
 
 
-def _triple_transport(site: FiniteSite, transport: Transport, d: DescentDatum, i, j, k):
-    """Transitions of the triple (i, j, k) transported to a common overlap.
+def _assignments(width: int, choices, accept):
+    """Every assignment of ``width`` slots that ``accept`` passes, in product order.
 
-    Builds the triple overlap as (overlap of i and j) x_X (piece k),
-    produces the mediating maps into the three pairwise overlaps, and
-    conjugates each transition by the cleavage coherence so all three
-    become morphisms between reference restrictions over the same apex.
-    Returns (fiber over apex, A_ij, A_ik, A_kj) where A_pq is the
-    transported p -> q transition.
+    ``choices(values)`` lists the candidates of the next slot after the
+    assigned prefix ``values``; ``accept(values)`` runs the constraints
+    whose last slot is the one just assigned.  One candidate iterator per
+    assigned slot sits on an explicit stack, so the depth costs no
+    recursion, a rejected prefix is never extended, and the survivors come
+    in the lexicographic order of the full product they were filtered from.
     """
-    base = site.base
-    sq_ij, leg_i, leg_j = _pair_legs(site, i, j)
-    m_ij = base.compose(i, leg_i)
-    sq_top = site.chosen_pullback(m_ij, k)
-    w = sq_top.apex
-    a, b = sq_top.to_left, sq_top.to_right
+    values, stack = [], []
+    while True:
+        if len(values) == width:
+            yield tuple(values)
+        else:
+            stack.append(iter(choices(values)))
+        while stack:  # next accepted candidate for the deepest slot that has one left
+            del values[len(stack) - 1:]
+            for v in stack[-1]:
+                values.append(v)
+                if accept(values):
+                    break
+                values.pop()
+            else:
+                stack.pop()
+                continue
+            break
+        else:
+            return
 
-    c1 = base.compose(leg_i, a)
-    c2 = base.compose(leg_j, a)
-    c3 = b
-    fib_w = transport.fiber(w)
 
-    def transported(is_base_pair, iota_p, iota_q, c_p, c_q):
-        sq, lp, lq = _pair_legs(site, iota_p, iota_q)
-        u = a if is_base_pair else _mediating(site, base, w, sq, lp, c_p, lq, c_q)
-        coh_p = transport.coherence(u, lp, d.objects[iota_p])
-        coh_q = transport.coherence(u, lq, d.objects[iota_q])
-        moved = transport.restrict_mor(u, d.transitions[(iota_q, iota_p)])
-        return fib_w.compose(coh_q, fib_w.compose(moved, fib_w.inverse(coh_p)))
+def _isos(fib: FinCat, src: str, tgt: str) -> list:
+    """The isomorphisms src -> tgt of a fiber, in id order."""
+    return [m for m in sorted(fib.hom(src, tgt)) if fib.is_iso(m)]
 
-    a_ij = transported(True, i, j, c1, c2)
-    a_ik = transported(False, i, k, c1, c3)
-    a_kj = transported(False, k, j, c3, c2)
-    return fib_w, a_ij, a_ik, a_kj
+
+class _Covering:
+    """One covering (x, family) compiled for every datum checked over it.
+
+    ``pairs[(i, j)]`` holds the chosen overlap of pieces i and j as (its
+    fiber, the leg to i, the leg to j).  The cleavage tables a triple's
+    cocycle condition reads (over the triple overlaps the site keeps) and
+    the comparison datum of each object over x are built on first use and
+    kept.  ``last[d]`` lists the ordered piece pairs whose later piece is
+    the d-th, the pair conditions a per-piece search can decide there.
+    """
+
+    def __init__(self, site: FiniteSite, transport: Transport, x: str, family):
+        self.site, self.transport, self.x = site, transport, x
+        self.family = tuple(family)
+        self.pieces = [transport.fiber(site.base.src(iota)) for iota in self.family]
+        self.pairs = {}
+        for i in self.family:
+            for j in self.family:
+                sq, leg_i, leg_j = _pair_legs(site, i, j)
+                self.pairs[(i, j)] = (transport.fiber(sq.apex), leg_i, leg_j)
+        fam = self.family
+        self.last = [
+            [(i, j) for i in fam[: d + 1] for j in fam[: d + 1] if fam[d] in (i, j)]
+            for d in range(len(fam))
+        ]
+        self._isos, self._triples, self._comparisons = {}, {}, {}
+
+    def comparison(self, e: str) -> DescentDatum:
+        """The canonical descent datum of the object e over x."""
+        if e not in self._comparisons:
+            tr = self.transport
+            objects = {iota: tr.restrict_obj(iota, e) for iota in self.family}
+            transitions = {}
+            for (i, j), (fib, leg_i, leg_j) in self.pairs.items():
+                coh_i, coh_j = tr.coherence(leg_i, i, e), tr.coherence(leg_j, j, e)
+                transitions[(j, i)] = fib.compose(fib.inverse(coh_j), coh_i)
+            self._comparisons[e] = DescentDatum(self.x, self.family, objects, transitions)
+        return self._comparisons[e]
+
+    def cocycle_holds(self, objects: dict, transitions: dict, i, j, k) -> bool:
+        """Cocycle condition on the triple (i, j, k) of a completed datum.
+
+        Each of the three transitions is moved to the triple overlap and
+        conjugated by the cleavage coherences, so all three become
+        morphisms between reference restrictions over the same apex.
+        """
+        if (i, j, k) not in self._triples:
+            w, into = self.site.triple_overlap(i, j, k)
+            psf = self.transport.psf
+            tables = [
+                (psf.alpha[(u, lp)], psf.alpha[(u, lq)], psf.pullbacks[u].mor_map) for u, lp, lq in into
+            ]
+            self._triples[(i, j, k)] = (psf.fibers[w], tables)
+        fib_w, tables = self._triples[(i, j, k)]
+        moved = []
+        for (coh_p, coh_q, restrict), (p, q) in zip(tables, ((i, j), (i, k), (k, j))):
+            m = fib_w.compose(restrict[transitions[(q, p)]], fib_w.inverse(coh_p[objects[p]]))
+            moved.append(fib_w.compose(coh_q[objects[q]], m))
+        a_ij, a_ik, a_kj = moved
+        return fib_w.compose(a_kj, a_ik) == a_ij
+
+    def transition_isos(self, i, j, obj_i: str, obj_j: str) -> list:
+        """The values a transition (j, i) can take between the restrictions of
+        obj_i and obj_j: the isomorphisms over the overlap of i and j, in id order."""
+        key = (i, j, obj_i, obj_j)
+        if key not in self._isos:
+            fib, leg_i, leg_j = self.pairs[(i, j)]
+            tr = self.transport
+            self._isos[key] = _isos(fib, tr.restrict_obj(leg_i, obj_i), tr.restrict_obj(leg_j, obj_j))
+        return self._isos[key]
+
+    def descent_data(self):
+        """Every descent datum over the covering, in the order of the full product.
+
+        The slots are an object per piece, then a transition per pair of
+        pieces i < j, then one per piece whose overlap with itself has two
+        different legs (the other diagonals are identities).  A pair whose
+        transition has no isomorphism to take prunes as soon as its later
+        object is chosen, and each cocycle triple runs as soon as the last
+        of its three transitions is.
+        """
+        fam, n, tr = self.family, len(self.family), self.transport
+        index = {iota: d for d, iota in enumerate(fam)}
+        pairs = [(i, j) for d, i in enumerate(fam) for j in fam[d + 1:]]
+        pairs += [(i, i) for i in fam if self.pairs[(i, i)][1] != self.pairs[(i, i)][2]]
+        slot_of = {(i, i): index[i] for i in fam}
+        for d, (i, j) in enumerate(pairs, n):
+            slot_of[(i, j)] = slot_of[(j, i)] = d
+        pairs_at = [[(i, j) for i, j in pairs if index[j] == d] for d in range(n)]
+        triples_at = [[] for _ in range(n + len(pairs))]
+        for i, j, k in itertools.product(fam, repeat=3):
+            triples_at[max(slot_of[(j, i)], slot_of[(k, i)], slot_of[(j, k)])].append((i, j, k))
+        objects, transitions = {}, {}
+
+        def choices(values):
+            d = len(values)
+            if d < n:
+                return sorted(self.pieces[d].objects)
+            i, j = pairs[d - n]
+            return self.transition_isos(i, j, objects[i], objects[j])
+
+        def accept(values):
+            d, m = len(values) - 1, values[-1]
+            if d < n:
+                i = fam[d]
+                objects[i] = m
+                if slot_of[(i, i)] == d:
+                    fib, leg, _ = self.pairs[(i, i)]
+                    transitions[(i, i)] = fib.identity[tr.restrict_obj(leg, m)]
+                if not all(self.transition_isos(p, q, objects[p], objects[q]) for p, q in pairs_at[d]):
+                    return False
+            else:
+                i, j = pairs[d - n]
+                transitions[(j, i)] = m
+                if i != j:
+                    transitions[(i, j)] = self.pairs[(i, j)][0].inverse(m)
+            return all(self.cocycle_holds(objects, transitions, *t) for t in triples_at[d])
+
+        for values in _assignments(n + len(pairs), choices, accept):
+            given = {(j, i): m for (i, j), m in zip(pairs, values[n:])}
+            yield DescentDatum(self.x, fam, dict(zip(fam, values)), given)
+
+    def effectiveness_witnesses(self, d: DescentDatum):
+        """Every (object e over x, isomorphisms e|piece -> d's object) inducing the
+        completed datum d, in the order of the full product.
+
+        A witness satisfies transition(j, i) = (a_j restricted) ∘ (e's
+        comparison transition) ∘ (a_i restricted)^-1 over every ordered
+        pair; each pair is checked once both of its pieces are assigned.
+        """
+        fam, tr = self.family, self.transport
+        fib_x = tr.fiber(self.x)
+
+        def choices(values):
+            if not values:
+                return sorted(fib_x.objects)
+            iota = fam[len(values) - 1]
+            return _isos(self.pieces[len(values) - 1], tr.restrict_obj(iota, values[0]), d.objects[iota])
+
+        def accept(values):
+            if len(values) == 1:
+                return True
+            beta = self.comparison(values[0]).transitions
+            alphas = dict(zip(fam, values[1:]))
+            for i, j in self.last[len(values) - 2]:
+                fib, leg_i, leg_j = self.pairs[(i, j)]
+                ai = tr.restrict_mor(leg_i, alphas[i])
+                aj = tr.restrict_mor(leg_j, alphas[j])
+                if d.transitions[(j, i)] != fib.compose(aj, fib.compose(beta[(j, i)], fib.inverse(ai))):
+                    return False
+            return True
+
+        for values in _assignments(1 + len(fam), choices, accept):
+            yield values[0], dict(zip(fam, values[1:]))
+
+    def morphisms(self, d1: DescentDatum, d2: DescentDatum):
+        """Every family (f_i) of piece morphisms commuting with the transitions of
+        the completed data d1 and d2, in the order of the full product."""
+        fam, tr = self.family, self.transport
+
+        def choices(values):
+            iota = fam[len(values)]
+            return sorted(self.pieces[len(values)].hom(d1.objects[iota], d2.objects[iota]))
+
+        def accept(values):
+            fs = dict(zip(fam, values))
+            for i, j in self.last[len(values) - 1]:
+                fib, leg_i, leg_j = self.pairs[(i, j)]
+                lhs = fib.compose(tr.restrict_mor(leg_j, fs[j]), d1.transitions[(j, i)])
+                rhs = fib.compose(d2.transitions[(j, i)], tr.restrict_mor(leg_i, fs[i]))
+                if lhs != rhs:
+                    return False
+            return True
+
+        for values in _assignments(len(fam), choices, accept):
+            yield dict(zip(fam, values))
 
 
 def check_cocycle(site: FiniteSite, transport: Transport, d: DescentDatum) -> Verdict:
@@ -295,15 +516,13 @@ def check_cocycle(site: FiniteSite, transport: Transport, d: DescentDatum) -> Ve
     typing = _check_transition_typing(site, transport, d)
     if not typing.ok:
         return typing
+    cov = _Covering(site, transport, d.x, d.family)
     for i in d.family:
-        sq, l1, l2 = _pair_legs(site, i, i)
-        if l1 == l2:
-            fib = transport.fiber(sq.apex)
-            if not fib.is_identity(d.transitions[(i, i)]):
-                return Verdict(False, "diagonal transition not the identity", (i,))
+        fib, l1, l2 = cov.pairs[(i, i)]
+        if l1 == l2 and not fib.is_identity(d.transitions[(i, i)]):
+            return Verdict(False, "diagonal transition not the identity", (i,))
     for i, j, k in itertools.product(d.family, repeat=3):
-        fib_w, a_ij, a_ik, a_kj = _triple_transport(site, transport, d, i, j, k)
-        if fib_w.compose(a_kj, a_ik) != a_ij:
+        if not cov.cocycle_holds(d.objects, d.transitions, i, j, k):
             return Verdict(False, "cocycle fails", (i, j, k))
     return Verdict(True)
 
@@ -314,63 +533,21 @@ def comparison_datum(site: FiniteSite, transport: Transport, e: str, x: str, fam
     The transitions are the composites of the two cleavage coherence
     isomorphisms through the common restriction to the overlap.
     """
-    family = tuple(sorted(family))
-    objects = {iota: transport.restrict_obj(iota, e) for iota in family}
-    transitions = {}
-    for i in family:
-        for j in family:
-            sq, leg_i, leg_j = _pair_legs(site, i, j)
-            fib = transport.fiber(sq.apex)
-            coh_i = transport.coherence(leg_i, i, e)
-            coh_j = transport.coherence(leg_j, j, e)
-            transitions[(j, i)] = fib.compose(fib.inverse(coh_j), coh_i)
-    return DescentDatum(x, family, objects, transitions)
+    return _Covering(site, transport, x, sorted(family)).comparison(e)
 
 
 def _effectiveness_witnesses(site, transport, d):
-    """Every (object e over x, per-piece isomorphisms) inducing the datum, in search order.
-
-    A witness satisfies the defining equation transition(j,i) =
-    (a_j restricted) ∘ (canonical comparison of e) ∘ (a_i restricted)^-1
-    over every ordered pair.
-    """
+    """Every (object e over x, per-piece isomorphisms) inducing the datum, in search order."""
     cocycle = check_cocycle(site, transport, d)
     if not cocycle.ok:
         raise CocycleFails(cocycle.witness)
     d = complete_datum(site, transport, d)
-    fib_x = transport.fiber(d.x)
-    for e in sorted(fib_x.objects):
-        cmp_datum = comparison_datum(site, transport, e, d.x, d.family)
-        iso_choices = []
-        for iota in d.family:
-            fib_u = transport.fiber(site.base.src(iota))
-            e_restr = transport.restrict_obj(iota, e)
-            iso_choices.append(
-                [m for m in sorted(fib_u.hom(e_restr, d.objects[iota])) if fib_u.is_iso(m)]
-            )
-        for combo in itertools.product(*iso_choices):
-            alphas = dict(zip(d.family, combo))
-            if _witnesses_effectiveness(site, transport, d, cmp_datum, alphas):
-                yield e, alphas
+    yield from _Covering(site, transport, d.x, d.family).effectiveness_witnesses(d)
 
 
 def is_effective(site: FiniteSite, transport: Transport, d: DescentDatum):
     """Search for a global object inducing the datum; first witness or None."""
     return next(_effectiveness_witnesses(site, transport, d), None)
-
-
-def _witnesses_effectiveness(site, transport, d, cmp_datum, alphas) -> bool:
-    for i in d.family:
-        for j in d.family:
-            sq, leg_i, leg_j = _pair_legs(site, i, j)
-            fib = transport.fiber(sq.apex)
-            ai = transport.restrict_mor(leg_i, alphas[i])
-            aj = transport.restrict_mor(leg_j, alphas[j])
-            beta = cmp_datum.transitions[(j, i)]
-            rhs = fib.compose(aj, fib.compose(beta, fib.inverse(ai)))
-            if d.transitions[(j, i)] != rhs:
-                return False
-    return True
 
 
 def all_effectiveness_witnesses(site, transport, d):
@@ -385,63 +562,12 @@ def datum_morphisms(site, transport, d1: DescentDatum, d2: DescentDatum):
     """All families (f_i) over the pieces commuting with both transition sets."""
     d1 = complete_datum(site, transport, d1)
     d2 = complete_datum(site, transport, d2)
-    fam = d1.family
-    choices = []
-    for iota in fam:
-        fib_u = transport.fiber(site.base.src(iota))
-        choices.append(sorted(fib_u.hom(d1.objects[iota], d2.objects[iota])))
-    out = []
-    for combo in itertools.product(*choices):
-        fs = dict(zip(fam, combo))
-        ok = True
-        for i in fam:
-            for j in fam:
-                sq, leg_i, leg_j = _pair_legs(site, i, j)
-                fib = transport.fiber(sq.apex)
-                lhs = fib.compose(transport.restrict_mor(leg_j, fs[j]), d1.transitions[(j, i)])
-                rhs = fib.compose(d2.transitions[(j, i)], transport.restrict_mor(leg_i, fs[i]))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(fs)
-    return out
+    return list(_Covering(site, transport, d1.x, d1.family).morphisms(d1, d2))
 
 
 def _all_descent_data(site, transport, x, family):
-    """Every descent-shaped datum over the covering (transitions isos, diagonal id)."""
-    family = tuple(sorted(family))
-    object_choices = [sorted(transport.fiber(site.base.src(iota)).objects) for iota in family]
-    for objs in itertools.product(*object_choices):
-        objects = dict(zip(family, objs))
-        pair_list = [(i, j) for idx, i in enumerate(family) for j in family[idx + 1:]]
-        diag_needed = []
-        for i in family:
-            sq, l1, l2 = _pair_legs(site, i, i)
-            if l1 != l2:
-                diag_needed.append(i)
-        iso_choices = []
-        for i, j in pair_list:
-            sq, leg_i, leg_j = _pair_legs(site, i, j)
-            fib = transport.fiber(sq.apex)
-            src = transport.restrict_obj(leg_i, objects[i])
-            tgt = transport.restrict_obj(leg_j, objects[j])
-            iso_choices.append([m for m in sorted(fib.hom(src, tgt)) if fib.is_iso(m)])
-        for i in diag_needed:
-            sq, l1, l2 = _pair_legs(site, i, i)
-            fib = transport.fiber(sq.apex)
-            src = transport.restrict_obj(l1, objects[i])
-            tgt = transport.restrict_obj(l2, objects[i])
-            iso_choices.append([m for m in sorted(fib.hom(src, tgt)) if fib.is_iso(m)])
-        for combo in itertools.product(*iso_choices):
-            transitions = {}
-            for (i, j), m in zip(pair_list, combo[: len(pair_list)]):
-                transitions[(j, i)] = m
-            for i, m in zip(diag_needed, combo[len(pair_list):]):
-                transitions[(i, i)] = m
-            yield DescentDatum(x, family, objects, transitions)
+    """Every descent datum over the covering: transitions isos, cocycle condition met."""
+    return _Covering(site, transport, x, sorted(family)).descent_data()
 
 
 @dataclass(frozen=True)
@@ -454,39 +580,36 @@ class StackVerdict:
 
 
 def stack_verdict(site: FiniteSite, transport: Transport) -> StackVerdict:
-    """Comparison-functor verdict over every covering of the site.
+    """Comparison-functor verdict over every covering of a site that passed ``validate_site``.
 
     Prestack: for all global pairs the map into descent-datum morphisms
     is bijective.  Stack: additionally every datum passing the cocycle
-    check is effective.
+    check is effective.  Each covering is compiled once and serves both
+    halves.
     """
     base = site.base
+    coverings = []
     for x in sorted(base.objects):
         fib_x = transport.fiber(x)
         for fam in site.families(x):
+            cov = _Covering(site, transport, x, fam)
+            coverings.append(cov)
             for e1 in sorted(fib_x.objects):
-                c1 = comparison_datum(site, transport, e1, x, fam)
+                c1 = cov.comparison(e1)
                 for e2 in sorted(fib_x.objects):
-                    globals_ = sorted(fib_x.hom(e1, e2))
-                    c2 = comparison_datum(site, transport, e2, x, fam)
-                    images = []
-                    for u in globals_:
-                        images.append(tuple(sorted(
-                            (iota, transport.restrict_mor(iota, u)) for iota in fam
-                        )))
+                    images = [
+                        tuple(sorted((iota, transport.restrict_mor(iota, u)) for iota in fam))
+                        for u in sorted(fib_x.hom(e1, e2))
+                    ]
                     if len(set(images)) != len(images):
                         return StackVerdict("neither", (x, fam, e1, e2, "not faithful"))
-                    morphisms = datum_morphisms(site, transport, c1, c2)
-                    keyed = {tuple(sorted(m.items())) for m in morphisms}
+                    keyed = {tuple(sorted(m.items())) for m in cov.morphisms(c1, cov.comparison(e2))}
                     if set(images) != keyed:
                         return StackVerdict("neither", (x, fam, e1, e2, "not full"))
-    for x in sorted(base.objects):
-        for fam in site.families(x):
-            for datum in _all_descent_data(site, transport, x, fam):
-                if not check_cocycle(site, transport, datum).ok:
-                    continue
-                if is_effective(site, transport, datum) is None:
-                    return StackVerdict("prestack-only", (x, fam, datum.objects))
+    for cov in coverings:
+        for datum in cov.descent_data():
+            if next(cov.effectiveness_witnesses(complete_datum(site, transport, datum)), None) is None:
+                return StackVerdict("prestack-only", (cov.x, cov.family, datum.objects))
     return StackVerdict("stack")
 
 
@@ -528,7 +651,3 @@ def datum_to_json(d: DescentDatum) -> dict:
         ],
     }
 
-
-def load_site(path) -> FiniteSite:
-    with open(path, encoding="utf-8") as fh:
-        return site_from_json(json.load(fh))

@@ -1070,11 +1070,6 @@ def family_from_json(raw: dict) -> PLFamily:
     return _checked(PLFamily(base, vl, charts, gf, gt), charts_built=True)
 
 
-def load_family(path) -> PLFamily:
-    with open(path, encoding="utf-8") as fh:
-        return family_from_json(json.load(fh))
-
-
 def save_family(fam: PLFamily, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(family_to_json(fam), fh, indent=1, sort_keys=True)

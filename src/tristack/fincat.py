@@ -11,7 +11,6 @@ are immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 
@@ -152,23 +151,79 @@ def _check_axioms(c: FinCat):
     for m in c.morphisms.values():
         if m.src not in c.objects or m.tgt not in c.objects:
             raise IllTypedComposite((m.id, "endpoint not an object"))
-    mor_ids = list(c.morphisms)
+    mors = c.morphisms
     for (g, f), gf in c.table.items():
-        if g not in c.morphisms or f not in c.morphisms or gf not in c.morphisms:
+        mg, mf, mgf = mors.get(g), mors.get(f), mors.get(gf)
+        if mg is None or mf is None or mgf is None:
             raise IllTypedComposite((g, f))
-        if c.tgt(f) != c.src(g):
+        if mf.tgt != mg.src or mgf.src != mf.src or mgf.tgt != mg.tgt:
             raise IllTypedComposite((g, f))
-        if c.src(gf) != c.src(f) or c.tgt(gf) != c.tgt(g):
-            raise IllTypedComposite((g, f))
-    for g in mor_ids:
-        for f in mor_ids:
-            if c.composable(g, f) and (g, f) not in c.table:
-                raise IllTypedComposite((g, f))
-    for f in mor_ids:
+    # every entry is a distinct composable pair, so the table is total
+    # exactly when it has as many entries as there are such pairs
+    pairs = sum(len(c._by_tgt.get(o, ())) * len(c._by_src.get(o, ())) for o in c.objects)
+    if len(c.table) != pairs:
+        _first_axiom_fault(c)
+    for f in c.morphisms:
         if c.table[(f, c.identity[c.src(f)])] != f:
             raise IdentityLawViolation((f, c.identity[c.src(f)]))
         if c.table[(c.identity[c.tgt(f)], f)] != f:
             raise IdentityLawViolation((c.identity[c.tgt(f)], f))
+    if not _generators_associate(c):
+        _first_axiom_fault(c)
+
+
+def _generators_associate(c: FinCat) -> bool:
+    """Light's associativity test on a greedy generating set.
+
+    Call g good when (h∘g)∘f = h∘(g∘f) for every composable h and f.  If
+    a and b are good then so is a∘b: both sides reduce to h∘(a∘(b∘f))
+    using only the goodness of a and b, never associativity of the table.
+    Identities are good by the identity laws, so once every arrow is a
+    composite of identities and generators all arrows are good.  The
+    generators are taken greedily in id order: an arrow becomes one when
+    the composites of the earlier ones miss it.
+    """
+    table = c.table
+    src = {m: mor.src for m, mor in c.morphisms.items()}
+    tgt = {m: mor.tgt for m, mor in c.morphisms.items()}
+    reached = {c.identity[o] for o in c.objects}
+    closed, gens = [], []
+    for m in c.morphisms:
+        if m in reached:
+            continue
+        gens.append(m)
+        reached.add(m)
+        todo = [m]
+        while todo:  # keep ``closed`` closed under composition, one new arrow at a time
+            a = todo.pop()
+            closed.append(a)
+            for b in closed:
+                for ab in (table[(a, b)] if src[a] == tgt[b] else None,
+                           table[(b, a)] if src[b] == tgt[a] else None):
+                    if ab is not None and ab not in reached:
+                        reached.add(ab)
+                        todo.append(ab)
+    for g in gens:
+        for h in c._by_src[tgt[g]]:
+            hg = table[(h, g)]
+            for f in c._by_tgt[src[g]]:
+                if table[(h, table[(g, f)])] != table[(hg, f)]:
+                    return False
+    return True
+
+
+def _first_axiom_fault(c: FinCat):
+    """The exhaustive totality and associativity scans, for their first witness.
+
+    Run only once a fast test has failed, so one of them raises: the
+    count test fails only on a missing pair, Light's test only on a
+    non-associative triple, and the identity laws sit between them.
+    """
+    mor_ids = list(c.morphisms)
+    for g in mor_ids:
+        for f in mor_ids:
+            if c.composable(g, f) and (g, f) not in c.table:
+                raise IllTypedComposite((g, f))
     for h in mor_ids:
         for g in mor_ids:
             if not c.composable(h, g):
@@ -179,6 +234,7 @@ def _check_axioms(c: FinCat):
                     continue
                 if c.table[(h, c.table[(g, f)])] != c.table[(hg, f)]:
                     raise NonAssociative((h, g, f))
+    raise RuntimeError("internal: a fast axiom test failed where the exhaustive scan passes")
 
 
 def validate_category(raw) -> FinCat:
@@ -747,13 +803,3 @@ def find_category_isomorphism(c: FinCat, d: FinCat) -> Functor | None:
 
 def categories_isomorphic(c: FinCat, d: FinCat) -> bool:
     return find_category_isomorphism(c, d) is not None
-
-
-def load_category(path) -> FinCat:
-    with open(path, encoding="utf-8") as fh:
-        return validate_category(json.load(fh))
-
-
-def save_category(c: FinCat, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(category_to_json(c), fh, indent=1, sort_keys=True)

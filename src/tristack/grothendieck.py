@@ -11,7 +11,6 @@ stored componentwise and checked, never assumed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .fincat import (
@@ -388,8 +387,3 @@ def pseudofunctor_from_json(raw: dict) -> PseudoFunctor:
     alpha = {(entry["f"], entry["g"]): dict(entry["components"]) for entry in raw["alpha"]}
     epsilon = {S: dict(raw["epsilon"][S]) for S in raw["epsilon"]}
     return PseudoFunctor(base, fibers, pullbacks, epsilon, alpha)
-
-
-def load_pseudofunctor(path) -> PseudoFunctor:
-    with open(path, encoding="utf-8") as fh:
-        return pseudofunctor_from_json(json.load(fh))

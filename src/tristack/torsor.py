@@ -6,22 +6,19 @@ every 2-cell.  Fibers are free transitive right G-sets presented as the
 group itself; triviality is decided by spanning-forest gauge fixing and
 cycle monodromy.
 
-Composition convention, pinned once: ``Group.mul(a, b)`` means "apply a,
-then b" along a directed path, so a path crossing edges with elements
-g1, g2, ... has product mul(mul(g1, g2), ...) and the face condition for
-a triangle u -> v -> w -> u reads mul(mul(g_uv, g_vw), g_wu) == e.  For
-the built-in S3 this makes path products agree with the vertex-label
-transport of triangle families: mul(a, b) == compose(b, a) in the
-function-composition order of the geometry module.
+Group elements multiply in path order (``groups`` pins the convention),
+so the face condition for a triangle u -> v -> w -> u reads
+mul(mul(g_uv, g_vw), g_wu) == e.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from . import trigeo
+# the stock groups stay importable from here as well
+from .groups import BUILTIN_GROUPS, Group, group_from_table, group_s3, group_z2, group_z3
 from .families import (
     BaseGraph,
     Edge,
@@ -60,72 +57,6 @@ class InvalidPair(TorsorError):
     pass
 
 
-# -- groups by table -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Group:
-    name: str
-    elements: tuple
-    table: dict        # (a, b) -> "a then b"
-    identity: str
-    inv: dict
-
-    def mul(self, a, b):
-        return self.table[(a, b)]
-
-    def inverse(self, a):
-        return self.inv[a]
-
-    def path_product(self, elems):
-        out = self.identity
-        for g in elems:
-            out = self.mul(out, g)
-        return out
-
-
-def group_from_table(name, elements, table) -> Group:
-    elements = tuple(elements)
-    identity = None
-    for e in elements:
-        if all(table[(e, x)] == x == table[(x, e)] for x in elements):
-            identity = e
-            break
-    if identity is None:
-        raise TorsorError("table has no identity element")
-    for a in elements:
-        for b in elements:
-            if table[(a, b)] not in elements:
-                raise TorsorError("table not closed")
-            for c in elements:
-                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
-                    raise TorsorError(f"table not associative at {(a, b, c)}")
-    inv = {}
-    for a in elements:
-        inv[a] = next(b for b in elements if table[(a, b)] == identity == table[(b, a)])
-    return Group(name, elements, dict(table), identity, inv)
-
-
-def group_s3() -> Group:
-    # mul(a, b) = "a then b" = compose(b, a) in vertex-relabeling order
-    table = {(a, b): trigeo.compose(b, a) for a in PERMS for b in PERMS}
-    return group_from_table("S3", PERMS, table)
-
-
-def group_z2() -> Group:
-    els = ("e", "s")
-    table = {(a, b): ("e" if a == b else "s") for a in els for b in els}
-    return group_from_table("Z2", els, table)
-
-
-def group_z3() -> Group:
-    els = ("e", "r", "r2")
-    idx = {"e": 0, "r": 1, "r2": 2}
-    table = {(a, b): els[(idx[a] + idx[b]) % 3] for a in els for b in els}
-    return group_from_table("Z3", els, table)
-
-
-BUILTIN_GROUPS = {"S3": group_s3, "Z2": group_z2, "Z3": group_z3}
 
 
 # -- simplicial bases ------------------------------------------------------------
@@ -485,14 +416,18 @@ def glue_descent(g: GlueData):
     if not face_check.ok:
         raise CocycleFails(face_check.witness)
 
-    witnesses = {}
-    for idx, cells in enumerate(g.pieces):
-        # the gauge trivialising the glued torsor on the piece, checked on the piece's own edges
-        gauge = {v: g.alpha(idx, home[v], v) for v in sorted(base.vertex_set & cells)}
-        for e in (base.edges[c] for c in cells if c in base.edges):
-            if grp.mul(grp.inverse(gauge[e.frm]), grp.mul(transitions[e.id], gauge[e.to])) != grp.identity:
-                raise CocycleFails(("glued torsor does not restrict to the trivial piece", idx))
-        witnesses[idx] = gauge
+    # The gauge alpha(idx, home[v], v) trivialises the glued torsor on piece
+    # idx, so it needs no check.  Take an edge e: u -> v of the piece and
+    # p = home[e].  The cocycle condition holds for any three pieces sharing
+    # a cell: validated for distinct ones, and for repeats by alpha(i, i) = 1
+    # and alpha(i, j) = alpha(j, i)^-1.  At u (pieces idx, home[u], p) and at
+    # v (p, home[v], idx) it reduces gauge[u]^-1 · transitions[e] · gauge[v]
+    # to alpha(p, idx, u) · alpha(idx, p, v), and the (idx, p) table is
+    # constant along e, so the product is alpha(p, p, e) = 1.
+    witnesses = {
+        idx: {v: g.alpha(idx, home[v], v) for v in sorted(base.vertex_set & cells)}
+        for idx, cells in enumerate(g.pieces)
+    }
     return torsor, witnesses
 
 
@@ -691,12 +626,3 @@ def glue_data_from_json(raw: dict) -> GlueData:
         {(e["i"], e["j"]): dict(e["cells"]) for e in raw["transitions"]},
     )
 
-
-def load_torsor(path) -> TorsorCocycle:
-    with open(path, encoding="utf-8") as fh:
-        return torsor_from_json(json.load(fh))
-
-
-def load_glue_data(path) -> GlueData:
-    with open(path, encoding="utf-8") as fh:
-        return glue_data_from_json(json.load(fh))

@@ -177,10 +177,6 @@ def to_N(t: TriangleLengths) -> NPoint:
     return NPoint(*sorted(t.astuple()))
 
 
-def sort_tuple(t):
-    return tuple(sorted(t))
-
-
 def stabilizer(t: TriangleLengths) -> tuple[str, ...]:
     return tuple(g for g in PERMS if act(g, t) == t)
 

@@ -169,6 +169,40 @@ class TestSiteAndStack:
         code, out = run(capsys, "stack-check", str(p))
         assert code == 1 and "prestack-only" in out
 
+    def _site_without_meet(self, tmp_path):
+        """Covering {a<=x, b<=x} of x, but a and b have no meet for T2 to pull back to."""
+        from tristack.fincat import category_to_json, poset_category
+
+        raw = {
+            "base": category_to_json(poset_category([("a", "x"), ("b", "x")])),
+            "coverings": {"x": [["a<=x", "b<=x"], ["id_x"]], "a": [["id_a"]], "b": [["id_b"]]},
+        }
+        p = tmp_path / "site.json"
+        p.write_text(json.dumps(raw))
+        return raw, p
+
+    def test_site_check_missing_pullback_fails_t2(self, tmp_path, capsys):
+        _, p = self._site_without_meet(tmp_path)
+        report = tmp_path / "r.json"
+        code = main(["--json", str(report), "site-check", str(p)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert "T2 fails: no pullback" in captured.out
+        assert json.loads(report.read_text())["report"] == {
+            "valid": False,
+            "reason": "T2 fails: no pullback",
+            "witness": ["x", ["a<=x", "b<=x"], "a<=x", "b<=x"],
+        }
+
+    def test_stack_check_missing_pullback_is_malformed_input(self, tmp_path, capsys):
+        raw, _ = self._site_without_meet(tmp_path)
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps({"site": raw, "fibered": {"kind": "slice", "object": "x"}}))
+        code = main(["stack-check", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert "site axioms fail: T2 fails: no pullback" in captured.out
+
 
 class TestGrothRoundtrip:
     def test_twisted_cocycle_file(self, tmp_path, capsys):

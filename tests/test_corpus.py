@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 from tristack import corpus, trigeo
 from tristack.deform import validate_deformation
@@ -18,6 +20,13 @@ from tristack.torsor import validate_torsor
 
 
 class TestCategoryCorpus:
+    def test_stock_groups_leave_the_family_machinery_out(self):
+        code = "import sys; from tristack import corpus; corpus.z2_category(); corpus.z3_category(); " \
+               "print(sorted(m for m in ('tristack.families', 'tristack.torsor') if m in sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_fibered_corpus_is_fibered_and_valid(self):
         funs = corpus.fibered_corpus(seed=5, n=40)
         for fun in funs:

@@ -1,8 +1,8 @@
 """Glue validation and descent against the all-pairs versions they replace.
 
 ``torsor.validate_glue_data`` visits only the piece pairs that share a
-cell or carry a transition table, and ``torsor.glue_descent`` checks each
-piece over its own cells.  The versions below visit every pair and
+cell or carry a transition table, and ``torsor.glue_descent`` returns each
+piece's gauge without re-checking it.  The versions below visit every pair and
 restrict the glued torsor to every piece; both must give the same verdict
 and first witness (lexicographic pair order), the same glued torsor and the
 same per-piece gauges in the same dict order (sorted vertices).
@@ -191,3 +191,19 @@ def test_gauges_list_vertices_sorted():
     _, witnesses = torsor.glue_descent(data)
     for idx, gauge in witnesses.items():
         assert list(gauge) == sorted(v for v in data.pieces[idx] if v in base.vertices)
+
+
+def test_gauges_trivialise_their_pieces():
+    """glue_descent returns its gauges unchecked; each must carry the glued torsor to the trivial one."""
+    glued = 0
+    for data in CASES:
+        if not torsor.validate_glue_data(data).ok:
+            continue
+        result, witnesses = torsor.glue_descent(data)
+        grp = data.group
+        for idx, gauge in witnesses.items():
+            for e in (data.base.edges[c] for c in data.pieces[idx] if c in data.base.edges):
+                moved = grp.mul(grp.inverse(gauge[e.frm]), grp.mul(result.transitions[e.id], gauge[e.to]))
+                assert moved == grp.identity
+        glued += 1
+    assert glued >= 60

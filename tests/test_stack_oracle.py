@@ -1,0 +1,891 @@
+"""Differential tests of the pruned category-half checks against the exhaustive ones.
+
+The oracles at the end of this file are the library's exhaustive checks
+from before the pruned ones replaced them, kept verbatim apart from their
+names: the category axioms (totality over every pair of arrows,
+associativity over every triple), the site axioms (T3 over the full
+product of sub-coverings) and the descent searches (every object tuple
+and every transition product, filtered afterwards).  The pruned checks
+must give the same verdicts, the same witnesses (for a raised error: its
+type and arguments) and the same yield order, on the category zoo,
+random posets, S3, S4, the transformation monoid of a 3-set and total
+categories, each also with one composite re-pointed, missing, ill-typed
+or breaking an identity law; on every corpus site, its variants less one
+covering family, and hypothesis poset sites and sites of opens; and on
+the slice, constant-presheaf, Z2, Z3 and interval-fiber transports over
+the corpus sites, with Z3 also along a seeded mix of cartesian lifts.
+The oracles run only where they take milliseconds (no S5, no chain-6,
+constant presheaves with at most three elements).
+"""
+
+import functools
+import itertools
+import random
+import re
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from tristack import corpus, descent, fincat
+from tristack.descent import (
+    CocycleFails,
+    DescentDatum,
+    FiniteSite,
+    MissingPullback,
+    MissingTransition,
+    StackVerdict,
+    Transport,
+    jointly_covering_site,
+)
+from tristack.fincat import (
+    FinCat,
+    IdentityLawViolation,
+    IllTypedComposite,
+    Morphism,
+    NonAssociative,
+    PullbackSquare,
+    Verdict,
+    elements_fibration,
+    group_category,
+    identity_functor,
+    is_cartesian,
+    lifts,
+    poset_category,
+    slice_category,
+)
+from tristack.grothendieck import default_cleavage, strict_pseudofunctor, total_category
+
+HYPOTHESIS = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def reason_of(result):
+    """The reason or status a returned verdict names, or the type of the raised error."""
+    if result[0] != "returned":
+        return result[0]
+    found = re.search(r"(?:reason|status)='([^':]*)", result[1])
+    return found.group(1) if found else None
+
+
+def outcome(fn, *args):
+    """What a call did: ("returned", repr of its value) or (error type, error arguments)."""
+    try:
+        return ("returned", repr(fn(*args)))
+    except Exception as err:
+        return (type(err), err.args)
+
+
+# -- categories -----------------------------------------------------------------------
+
+
+def unchecked(c: FinCat, table=None) -> FinCat:
+    return FinCat(c.objects, c.morphisms.values(), c.identity, c.table if table is None else table, check=False)
+
+
+def symmetric_group(n):
+    perms = list(itertools.permutations(range(n)))
+    name = {p: f"p{i}" for i, p in enumerate(perms)}
+    mul = {(name[a], name[b]): name[tuple(a[b[i]] for i in range(n))] for a in perms for b in perms}
+    return group_category(list(name.values()), mul, name="s")
+
+
+def transformation_monoid(n):
+    """All maps of an n-set to itself under composition: a monoid needing several generators."""
+    maps = list(itertools.product(range(n), repeat=n))
+    ident = tuple(range(n))
+
+    def mid(a):
+        return "id_*" if a == ident else "t:" + "".join(map(str, a))
+
+    table = {(mid(a), mid(b)): mid(tuple(a[b[i]] for i in range(n))) for a in maps for b in maps}
+    return FinCat(["*"], [Morphism(mid(a), "*", "*") for a in maps], {"*": "id_*"}, table)
+
+
+def category_pool():
+    rng = random.Random(7)
+    cats = list(corpus.small_category_zoo().values())
+    cats += [symmetric_group(3), symmetric_group(4), transformation_monoid(3)]
+    cats += [corpus.random_poset(rng, max_objects=6) for _ in range(30)]
+    cats += [total_category(p)[0] for p in corpus.pseudofunctor_corpus(seed=0, n=12)]
+    return cats
+
+
+POOL = category_pool()
+# categories with composites of two non-identities to re-point
+TANGLED = [c for c in POOL if any(not c.is_identity(g) and not c.is_identity(f) for g, f in c.table)]
+PARALLEL = [(c, f) for c in POOL for f in sorted(c.morphisms) if len(c.hom(c.src(f), c.tgt(f))) > 1]
+
+
+def assert_same_axiom_verdict(c: FinCat):
+    assert outcome(fincat._check_axioms, c) == outcome(oracle_check_axioms, c)
+
+
+def repointed(c: FinCat, key, image) -> FinCat:
+    table = dict(c.table)
+    table[key] = image
+    return unchecked(c, table)
+
+
+class TestCategoryAxioms:
+    def test_valid_categories(self):
+        for c in POOL:
+            assert outcome(fincat._check_axioms, unchecked(c)) == ("returned", "None")
+            assert_same_axiom_verdict(unchecked(c))
+
+    def test_every_repointed_composite_of_s3(self):
+        """Each composite of two non-identities of S3 re-pointed at every other element."""
+        s3 = symmetric_group(3)
+        kinds = set()
+        for (g, f), gf in sorted(s3.table.items()):
+            if s3.is_identity(g) or s3.is_identity(f):
+                continue
+            for other in sorted(s3.morphisms):
+                if other != gf:
+                    c = repointed(s3, (g, f), other)
+                    assert_same_axiom_verdict(c)
+                    kinds.add(outcome(oracle_check_axioms, c)[0])
+        assert NonAssociative in kinds
+
+    @HYPOTHESIS
+    @given(st.data())
+    def test_one_associativity_fault(self, data):
+        c = data.draw(st.sampled_from(TANGLED))
+        spots = sorted(k for k in c.table if not c.is_identity(k[0]) and not c.is_identity(k[1]))
+        key = data.draw(st.sampled_from(spots))
+        gf = c.morphisms[c.table[key]]
+        image = data.draw(st.sampled_from(sorted(c.hom(gf.src, gf.tgt))))
+        assert_same_axiom_verdict(repointed(c, key, image))
+
+    def test_repointed_composites_of_the_transformation_monoid(self):
+        """Seeded composites of two non-identities of T3 (several generators) re-pointed at another map."""
+        t3 = transformation_monoid(3)
+        rng = random.Random(11)
+        spots = [k for k in sorted(t3.table) if not t3.is_identity(k[0]) and not t3.is_identity(k[1])]
+        kinds = set()
+        for g, f in rng.sample(spots, 24):
+            c = repointed(t3, (g, f), rng.choice(sorted(set(t3.morphisms) - {t3.table[(g, f)]})))
+            assert_same_axiom_verdict(c)
+            kinds.add(outcome(oracle_check_axioms, c)[0])
+        assert NonAssociative in kinds
+
+    @HYPOTHESIS
+    @given(st.data())
+    def test_missing_composite(self, data):
+        c = data.draw(st.sampled_from(POOL))
+        table = dict(c.table)
+        del table[data.draw(st.sampled_from(sorted(table)))]
+        c = unchecked(c, table)
+        assert outcome(oracle_check_axioms, c)[0] is IllTypedComposite
+        assert_same_axiom_verdict(c)
+
+    @HYPOTHESIS
+    @given(st.data())
+    def test_ill_typed_composite(self, data):
+        c = data.draw(st.sampled_from(POOL))
+        if data.draw(st.booleans()):  # a composable pair pointed at an arrow of the wrong type
+            key = data.draw(st.sampled_from(sorted(c.table)))
+            gf = c.morphisms[c.table[key]]
+            wrong = sorted(m.id for m in c.morphisms.values() if (m.src, m.tgt) != (gf.src, gf.tgt))
+            assume(wrong)
+            c = repointed(c, key, data.draw(st.sampled_from(wrong)))
+        else:  # an entry for a pair that does not compose
+            pairs = sorted((g, f) for g in c.morphisms for f in c.morphisms if not c.composable(g, f))
+            assume(pairs)
+            c = repointed(c, data.draw(st.sampled_from(pairs)), data.draw(st.sampled_from(sorted(c.morphisms))))
+        assert outcome(oracle_check_axioms, c)[0] is IllTypedComposite
+        assert_same_axiom_verdict(c)
+
+    @HYPOTHESIS
+    @given(st.data())
+    def test_broken_identity_law(self, data):
+        c, f = data.draw(st.sampled_from(PARALLEL))
+        others = sorted(m for m in c.hom(c.src(f), c.tgt(f)) if m != f)
+        key = (f, c.identity[c.src(f)]) if data.draw(st.booleans()) else (c.identity[c.tgt(f)], f)
+        c = repointed(c, key, data.draw(st.sampled_from(others)))
+        assert outcome(oracle_check_axioms, c)[0] is IdentityLawViolation
+        assert_same_axiom_verdict(c)
+
+
+# -- sites ------------------------------------------------------------------------------
+
+
+def corpus_sites():
+    return {
+        "two-point": corpus.site_two_point_space(),
+        "chain-3": corpus.site_chain(3),
+        "chain-4": corpus.site_chain(4),
+        "chain-5": corpus.site_chain(5),
+        "three-atoms": corpus.site_three_atoms(),
+    }
+
+
+def fresh(site: FiniteSite, coverings=None) -> FiniteSite:
+    """The same site with an empty pullback memo, so both checks choose their own."""
+    return FiniteSite(site.base, site.coverings if coverings is None else coverings)
+
+
+def assert_same_site_verdict(site: FiniteSite):
+    old = outcome(oracle_validate_site, fresh(site))
+    new = outcome(descent.validate_site, fresh(site))
+    if old[0] is MissingPullback:
+        # the pruned check names the whole T2 instance (x, family, f, iota)
+        assert new[0] is MissingPullback and new[1][0][2:] == old[1][0]
+    else:
+        assert new == old
+    return old
+
+
+@st.composite
+def poset_sites(draw, max_objects=4):
+    """Jointly covering sites on hypothesis posets: the listed families of each object cover it."""
+    n = draw(st.integers(1, max_objects))
+    names = draw(st.permutations([f"p{i}" for i in range(n)]))
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    base = poset_category(pairs, objects=names)
+    with_singletons = draw(st.booleans())
+    covers = {}
+    for x in base.objects:
+        arrows = sorted(base.into_obj(x))
+        fams = [fam for r in range(1, len(arrows) + 1) for fam in itertools.combinations(arrows, r)]
+        chosen = set(draw(st.lists(st.sampled_from(fams), unique=True)))
+        if with_singletons:
+            chosen.add((base.identity[x],))
+        covers[x] = chosen.__contains__
+    return jointly_covering_site(base, covers)
+
+
+@st.composite
+def opens_sites(draw, max_points=3, max_opens=5):
+    """Sites of opens: random point sets ordered by inclusion, covered by unions."""
+    points = range(max_points)
+    opens = draw(st.lists(st.frozensets(st.sampled_from(points)), min_size=1, max_size=max_opens, unique=True))
+    name = {u: "u" + "".join(map(str, sorted(u))) for u in opens}
+    base = poset_category([(name[u], name[v]) for u in opens for v in opens if u < v], objects=list(name.values()))
+    by_name = {name[u]: u for u in opens}
+
+    def pred(x):
+        return lambda fam: frozenset().union(*(by_name[base.src(i)] for i in fam)) == by_name[x]
+
+    return jointly_covering_site(base, {x: pred(x) for x in base.objects})
+
+
+class TestSiteAxioms:
+    def test_corpus_sites(self):
+        for site in corpus_sites().values():
+            assert assert_same_site_verdict(site) == ("returned", repr(Verdict(True)))
+
+    def test_one_family_removed(self):
+        """Every corpus site less one covering family fails T1, T2 or T3 the same way."""
+        reasons = set()
+        for name, site in corpus_sites().items():
+            if name == "chain-5":
+                continue
+            for x, fams in site.coverings.items():
+                for fam in fams:
+                    coverings = dict(site.coverings)
+                    coverings[x] = [f for f in fams if f != fam]
+                    old = assert_same_site_verdict(fresh(site, coverings))
+                    reasons.add(reason_of(old))
+        assert {"T1 fails", "T2 fails", "T3 fails"} <= reasons
+
+    def test_t3_witness_is_the_first_prefix_of_its_union(self):
+        """The first failing union of this chain site is reached by two choices; the first one is named."""
+        site = corpus.site_chain(3)
+        coverings = {
+            "o0": [["id_o0"]],
+            "o1": [["id_o1"], ["id_o1", "o0<=o1"]],
+            "o2": [["id_o2"], ["id_o2", "o1<=o2"]],
+        }
+        old = assert_same_site_verdict(fresh(site, coverings))
+        assert reason_of(old) == "T3 fails"
+        assert descent.validate_site(fresh(site, coverings)).witness == (
+            "o2", ("id_o2", "o1<=o2"), (("id_o2",), ("id_o1", "o0<=o1"))
+        )
+
+    def test_missing_pullback_names_the_t2_instance(self):
+        base = poset_category([("a", "x"), ("b", "x")])
+        site = FiniteSite(base, {"x": [["a<=x", "b<=x"], ["id_x"]], "a": [["id_a"]], "b": [["id_b"]]})
+        assert outcome(descent.validate_site, site) == (MissingPullback, (("x", ("a<=x", "b<=x"), "a<=x", "b<=x"),))
+        assert_same_site_verdict(site)
+
+    @HYPOTHESIS
+    @given(poset_sites())
+    def test_hypothesis_poset_sites(self, site):
+        assert_same_site_verdict(site)
+
+    @HYPOTHESIS
+    @given(opens_sites())
+    def test_hypothesis_opens_sites(self, site):
+        assert_same_site_verdict(site)
+
+
+# -- descent -----------------------------------------------------------------------------
+
+
+def constant_total(base, group):
+    psf = strict_pseudofunctor(base, dict.fromkeys(base.objects, group), {m: identity_functor(group) for m in base.morphisms})
+    return total_category(psf)[1]
+
+
+def presheaf(base, values, restrict):
+    """Elements fibration of a presheaf on a poset given by a restriction rule."""
+    restrictions = {}
+    for f in base.morphisms:
+        a, b = base.src(f), base.tgt(f)
+        restrictions[f] = {e: (e if a == b else restrict(a, e)) for e in values[b]}
+    return elements_fibration(base, values, restrictions)[1]
+
+
+def fibrations(name, site):
+    """Slice, constant-presheaf (k <= 3), Z2/Z3 and interval-fiber projections, plus the two-point fixtures."""
+    base = site.base
+    top = "X" if "X" in base.objects else base.objects[-1]
+    out = {"slice": slice_category(base, top)[1]}
+    for k in (1, 2, 3):
+        out[f"const-{k}"] = elements_fibration(base, *corpus.constant_presheaf(base, [f"c{i}" for i in range(k)]))[1]
+    out["z2"] = constant_total(base, corpus.z2_category())
+    out["z3"] = constant_total(base, corpus.z3_category())
+    out["interval"] = constant_total(base, fincat.interval_category())  # fiber arrows that are not isos
+    if name == "two-point":
+        values = {"X": [], "u1": ["a"], "u2": ["b"], "0": ["c"]}
+        out["truncated"] = presheaf(base, values, lambda a, e: {"u1": "a", "u2": "b", "0": "c"}[a])
+        values = {"X": ["e1", "e2"], "u1": ["c"], "u2": ["c"], "0": ["c"]}
+        out["doubled"] = presheaf(base, values, lambda a, e: "c")
+    return out
+
+
+def transports(name, site):
+    """Transports of ``fibrations`` along their least cleavage, plus Z3 bundles along
+    a seeded mix of cartesian lifts, whose coherences differ from piece to piece."""
+    out = {kind: Transport(proj) for kind, proj in fibrations(name, site).items()}
+    proj = constant_total(site.base, corpus.z3_category())
+    rng = random.Random(5)
+    cleavage = {key: rng.choice([m for m in lifts(proj, *key) if is_cartesian(proj, m)])
+                for key in sorted(default_cleavage(proj))}
+    out["z3-mixed"] = Transport(proj, cleavage)
+    return out
+
+
+# the exhaustive searches take a tenth of a second or more on these
+SLOW = {("two-point", "z3"), ("two-point", "z3-mixed"), ("three-atoms", "const-2"), ("three-atoms", "const-3"),
+        ("three-atoms", "z2"), ("three-atoms", "z3"), ("three-atoms", "z3-mixed"), ("three-atoms", "interval")}
+
+
+def descent_cases():
+    sites = corpus_sites()
+    for name in ("two-point", "chain-3", "three-atoms"):
+        for kind, transport in transports(name, sites[name]).items():
+            if (name, kind) not in SLOW:
+                yield f"{name}/{kind}", sites[name], transport
+
+
+CASES = list(descent_cases())
+
+
+@functools.cache
+def shaped_data(label):
+    """(x, family, every descent-shaped datum over it in product order) for one case."""
+    _, site, transport = next(case for case in CASES if case[0] == label)
+    return [
+        (x, fam, list(oracle_all_descent_data(site, transport, x, fam)))
+        for x in site.base.objects
+        for fam in site.families(x)
+    ]
+
+
+def some_shaped_data(label, most=15):
+    """Every shaped datum of a case, or at most ``most`` of them, evenly spaced."""
+    data = [d for _, _, ds in shaped_data(label) for d in ds]
+    return data[:: -(-len(data) // most)]
+
+
+def cocycle_data(label):
+    _, site, transport = next(case for case in CASES if case[0] == label)
+    return [
+        (x, fam, [d for d in data if oracle_check_cocycle(site, transport, d).ok])
+        for x, fam, data in shaped_data(label)
+    ]
+
+
+def as_data(data):
+    return [(d.x, d.family, list(d.objects.items()), list(d.transitions.items())) for d in data]
+
+
+def nudged(site, transport, d: DescentDatum, rng) -> DescentDatum:
+    """The datum with one transition moved to a random arrow of its overlap fiber, or dropped."""
+    transitions = dict(d.transitions)
+    if not transitions:
+        return d
+    key = rng.choice(sorted(transitions))
+    sq, _, _ = oracle_pair_legs(site, key[1], key[0])
+    arrows = sorted(transport.fiber(sq.apex).morphisms)
+    if rng.random() < 0.2:
+        del transitions[key]
+    else:
+        transitions[key] = rng.choice(arrows)
+    return DescentDatum(d.x, d.family, dict(d.objects), transitions)
+
+
+class TestDescent:
+    def test_stack_verdicts(self):
+        statuses = set()
+        for label, site, transport in CASES:
+            old = outcome(oracle_stack_verdict, site, transport)
+            assert outcome(descent.stack_verdict, site, transport) == old, label
+            statuses.add(reason_of(old))
+        assert statuses == {"stack", "prestack-only", "neither"}
+
+    def test_descent_data_in_product_order(self):
+        checked = 0
+        for label, site, transport in CASES:
+            for x, fam, kept in cocycle_data(label):
+                assert as_data(descent._all_descent_data(site, transport, x, fam)) == as_data(kept), label
+                checked += len(kept)
+        assert checked > 300
+
+    def test_cocycle_verdicts(self):
+        rng = random.Random(3)
+        failures = set()
+        for label, site, transport in CASES:
+            for d in some_shaped_data(label):
+                for datum in (d, nudged(site, transport, d, rng)):
+                    old = outcome(oracle_check_cocycle, site, transport, datum)
+                    assert outcome(descent.check_cocycle, site, transport, datum) == old, label
+                    failures.add(reason_of(old))
+        assert {"cocycle fails", "transition has wrong endpoints"} <= failures
+
+    def test_effectiveness_witnesses(self):
+        for label, site, transport in CASES:
+            for d in some_shaped_data(label):
+                old = outcome(oracle_all_effectiveness_witnesses, site, transport, d)
+                assert outcome(descent.all_effectiveness_witnesses, site, transport, d) == old, label
+                assert outcome(descent.is_effective, site, transport, d) == outcome(
+                    oracle_is_effective, site, transport, d
+                )
+
+    def test_comparison_data_and_their_morphisms(self):
+        for label, site, transport in CASES:
+            for x in site.base.objects:
+                objs = sorted(transport.fiber(x).objects)
+                for fam in site.families(x):
+                    old = {e: oracle_comparison_datum(site, transport, e, x, fam) for e in objs}
+                    new = {e: descent.comparison_datum(site, transport, e, x, fam) for e in objs}
+                    assert as_data(new.values()) == as_data(old.values()), label
+                    for e1, e2 in itertools.product(objs, repeat=2):
+                        assert repr(descent.datum_morphisms(site, transport, new[e1], new[e2])) == repr(
+                            oracle_datum_morphisms(site, transport, old[e1], old[e2])
+                        ), label
+
+    def test_morphisms_between_descent_data(self):
+        for label, site, transport in CASES:
+            for _, _, data in cocycle_data(label):
+                for d1, d2 in itertools.product(data[:2], repeat=2):
+                    assert repr(descent.datum_morphisms(site, transport, d1, d2)) == repr(
+                        oracle_datum_morphisms(site, transport, d1, d2)
+                    ), label
+
+    @settings(HYPOTHESIS, max_examples=10)
+    @given(opens_sites(max_opens=4), st.data())
+    def test_hypothesis_stack_verdicts(self, site, data):
+        """Sub-constant presheaves on sites of opens: fewer sections over larger opens."""
+        assume(outcome(oracle_validate_site, fresh(site)) == ("returned", repr(Verdict(True))))
+        base = site.base
+        values = {}
+        for x in sorted(base.objects, key=lambda o: -len(base.into_obj(o))):  # larger opens first
+            above = set().union(*(values[b] for b in values if base.hom(x, b)))
+            values[x] = sorted(above | set(data.draw(st.lists(st.sampled_from("abc"), max_size=2))))
+        proj = presheaf(base, values, lambda a, e: e)
+        transport = Transport(proj)
+        assert outcome(descent.stack_verdict, site, transport) == outcome(oracle_stack_verdict, site, transport)
+        for x in base.objects:
+            for fam in site.families(x):
+                kept = [d for d in oracle_all_descent_data(site, transport, x, fam)
+                        if oracle_check_cocycle(site, transport, d).ok]
+                assert as_data(descent._all_descent_data(site, transport, x, fam)) == as_data(kept)
+
+
+# -- oracles: the exhaustive checks, verbatim -----------------------------------------------
+
+
+def oracle_check_axioms(c: FinCat):
+    for obj in c.objects:
+        if obj not in c.identity or c.identity[obj] not in c.morphisms:
+            raise MissingIdentity(obj)
+        i = c.morphisms[c.identity[obj]]
+        if i.src != obj or i.tgt != obj:
+            raise MissingIdentity(obj)
+    for m in c.morphisms.values():
+        if m.src not in c.objects or m.tgt not in c.objects:
+            raise IllTypedComposite((m.id, "endpoint not an object"))
+    mor_ids = list(c.morphisms)
+    for (g, f), gf in c.table.items():
+        if g not in c.morphisms or f not in c.morphisms or gf not in c.morphisms:
+            raise IllTypedComposite((g, f))
+        if c.tgt(f) != c.src(g):
+            raise IllTypedComposite((g, f))
+        if c.src(gf) != c.src(f) or c.tgt(gf) != c.tgt(g):
+            raise IllTypedComposite((g, f))
+    for g in mor_ids:
+        for f in mor_ids:
+            if c.composable(g, f) and (g, f) not in c.table:
+                raise IllTypedComposite((g, f))
+    for f in mor_ids:
+        if c.table[(f, c.identity[c.src(f)])] != f:
+            raise IdentityLawViolation((f, c.identity[c.src(f)]))
+        if c.table[(c.identity[c.tgt(f)], f)] != f:
+            raise IdentityLawViolation((c.identity[c.tgt(f)], f))
+    for h in mor_ids:
+        for g in mor_ids:
+            if not c.composable(h, g):
+                continue
+            hg = c.table[(h, g)]
+            for f in mor_ids:
+                if not c.composable(g, f):
+                    continue
+                if c.table[(h, c.table[(g, f)])] != c.table[(hg, f)]:
+                    raise NonAssociative((h, g, f))
+
+
+
+def oracle_validate_site(site: FiniteSite) -> Verdict:
+    """Covering axioms T1-T3, checked exhaustively with witnesses."""
+    base = site.base
+    for x, fams in site.coverings.items():
+        if x not in base.objects:
+            return Verdict(False, "covering of unknown object", (x,))
+        for fam in fams:
+            for iota in fam:
+                if iota not in base.morphisms or base.tgt(iota) != x:
+                    return Verdict(False, "covering arrow has wrong target", (x, iota))
+            if len(set(fam)) != len(fam):
+                return Verdict(False, "covering family repeats an arrow", (x, fam))
+
+    # (T1) isomorphism singletons
+    for m in base.morphisms:
+        if base.is_iso(m) and not site.has_family(base.tgt(m), (m,)):
+            return Verdict(False, "T1 fails: isomorphism singleton missing", (m,))
+
+    # (T2) stability under the chosen pullbacks
+    for x in base.objects:
+        for fam in site.families(x):
+            for f in base.into_obj(x):
+                pulled = []
+                for iota in fam:
+                    sq = site.chosen_pullback(f, iota)
+                    pulled.append(sq.to_left)
+                if not site.has_family(base.src(f), pulled):
+                    return Verdict(False, "T2 fails: pulled-back family not a covering", (x, fam, f))
+
+    # (T3) composition of coverings
+    for x in base.objects:
+        for fam in site.families(x):
+            per_piece = [site.families(base.src(iota)) for iota in fam]
+            for choice in itertools.product(*per_piece):
+                composed = []
+                for iota, sub in zip(fam, choice):
+                    composed.extend(base.compose(iota, phi) for phi in sub)
+                if not site.has_family(x, composed):
+                    return Verdict(False, "T3 fails: composed family not a covering", (x, fam, choice))
+    return Verdict(True)
+
+
+
+def oracle_pair_legs(site: FiniteSite, p: str, q: str):
+    """Chosen overlap square for covering arrows p, q with legs in slot order."""
+    a, b = sorted((p, q))
+    sq = site.chosen_pullback(a, b)
+    if p == q:
+        return sq, sq.to_left, sq.to_right
+    if p == a:
+        return sq, sq.to_left, sq.to_right
+    return sq, sq.to_right, sq.to_left
+
+
+def oracle_complete_datum(site: FiniteSite, transport: Transport, d: DescentDatum) -> DescentDatum:
+    """Fill derivable transitions: diagonals and inverses."""
+    fam = d.family
+    transitions = dict(d.transitions)
+    for i in fam:
+        if (i, i) in transitions:
+            continue
+        sq, l1, l2 = oracle_pair_legs(site, i, i)
+        if l1 != l2:
+            raise MissingTransition((i, i))
+        fib = transport.fiber(sq.apex)
+        e_restr = transport.restrict_obj(l1, d.objects[i])
+        transitions[(i, i)] = fib.identity[e_restr]
+    for i in fam:
+        for j in fam:
+            if i == j or (j, i) in transitions:
+                continue
+            sq, leg_i, leg_j = oracle_pair_legs(site, i, j)
+            fib = transport.fiber(sq.apex)
+            if (i, j) in transitions:
+                inv = fib.inverse(transitions[(i, j)])
+                if inv is None:
+                    raise MissingTransition((j, i))
+                transitions[(j, i)] = inv
+                continue
+            # matching-family shorthand: equal restrictions glue by identity
+            src = transport.restrict_obj(leg_i, d.objects[i])
+            tgt = transport.restrict_obj(leg_j, d.objects[j])
+            if src != tgt:
+                raise MissingTransition((j, i))
+            transitions[(j, i)] = fib.identity[src]
+    return DescentDatum(d.x, fam, dict(d.objects), transitions)
+
+
+def oracle_check_transition_typing(site, transport, d: DescentDatum) -> Verdict:
+    for (j, i), mor in d.transitions.items():
+        sq, leg_i, leg_j = oracle_pair_legs(site, i, j)
+        fib = transport.fiber(sq.apex)
+        if mor not in fib.morphisms:
+            return Verdict(False, "transition not a fiber morphism over the overlap", (j, i))
+        want_src = transport.restrict_obj(leg_i, d.objects[i])
+        want_tgt = transport.restrict_obj(leg_j, d.objects[j])
+        if fib.src(mor) != want_src or fib.tgt(mor) != want_tgt:
+            return Verdict(False, "transition has wrong endpoints", (j, i))
+        if not fib.is_iso(mor):
+            return Verdict(False, "transition not an isomorphism", (j, i))
+    return Verdict(True)
+
+
+def oracle_mediating(site: FiniteSite, base: FinCat, w: str, sq: PullbackSquare,
+               leg_a: str, want_a: str, leg_b: str, want_b: str) -> str:
+    found = None
+    for m in base.hom(w, sq.apex):
+        if base.compose(leg_a, m) == want_a and base.compose(leg_b, m) == want_b:
+            if found is not None:
+                raise MissingPullback(("non-unique mediating morphism", sq.apex))
+            found = m
+    if found is None:
+        raise MissingPullback(("no mediating morphism", sq.apex))
+    return found
+
+
+def oracle_triple_transport(site: FiniteSite, transport: Transport, d: DescentDatum, i, j, k):
+    """Transitions of the triple (i, j, k) transported to a common overlap.
+
+    Builds the triple overlap as (overlap of i and j) x_X (piece k),
+    produces the mediating maps into the three pairwise overlaps, and
+    conjugates each transition by the cleavage coherence so all three
+    become morphisms between reference restrictions over the same apex.
+    Returns (fiber over apex, A_ij, A_ik, A_kj) where A_pq is the
+    transported p -> q transition.
+    """
+    base = site.base
+    sq_ij, leg_i, leg_j = oracle_pair_legs(site, i, j)
+    m_ij = base.compose(i, leg_i)
+    sq_top = site.chosen_pullback(m_ij, k)
+    w = sq_top.apex
+    a, b = sq_top.to_left, sq_top.to_right
+
+    c1 = base.compose(leg_i, a)
+    c2 = base.compose(leg_j, a)
+    c3 = b
+    fib_w = transport.fiber(w)
+
+    def transported(is_base_pair, iota_p, iota_q, c_p, c_q):
+        sq, lp, lq = oracle_pair_legs(site, iota_p, iota_q)
+        u = a if is_base_pair else oracle_mediating(site, base, w, sq, lp, c_p, lq, c_q)
+        coh_p = transport.coherence(u, lp, d.objects[iota_p])
+        coh_q = transport.coherence(u, lq, d.objects[iota_q])
+        moved = transport.restrict_mor(u, d.transitions[(iota_q, iota_p)])
+        return fib_w.compose(coh_q, fib_w.compose(moved, fib_w.inverse(coh_p)))
+
+    a_ij = transported(True, i, j, c1, c2)
+    a_ik = transported(False, i, k, c1, c3)
+    a_kj = transported(False, k, j, c3, c2)
+    return fib_w, a_ij, a_ik, a_kj
+
+
+def oracle_check_cocycle(site: FiniteSite, transport: Transport, d: DescentDatum) -> Verdict:
+    """Cocycle condition over every ordered triple, repeats included."""
+    d = oracle_complete_datum(site, transport, d)
+    typing = oracle_check_transition_typing(site, transport, d)
+    if not typing.ok:
+        return typing
+    for i in d.family:
+        sq, l1, l2 = oracle_pair_legs(site, i, i)
+        if l1 == l2:
+            fib = transport.fiber(sq.apex)
+            if not fib.is_identity(d.transitions[(i, i)]):
+                return Verdict(False, "diagonal transition not the identity", (i,))
+    for i, j, k in itertools.product(d.family, repeat=3):
+        fib_w, a_ij, a_ik, a_kj = oracle_triple_transport(site, transport, d, i, j, k)
+        if fib_w.compose(a_kj, a_ik) != a_ij:
+            return Verdict(False, "cocycle fails", (i, j, k))
+    return Verdict(True)
+
+
+def oracle_comparison_datum(site: FiniteSite, transport: Transport, e: str, x: str, family) -> DescentDatum:
+    """Canonical descent datum of a global object over a covering.
+
+    The transitions are the composites of the two cleavage coherence
+    isomorphisms through the common restriction to the overlap.
+    """
+    family = tuple(sorted(family))
+    objects = {iota: transport.restrict_obj(iota, e) for iota in family}
+    transitions = {}
+    for i in family:
+        for j in family:
+            sq, leg_i, leg_j = oracle_pair_legs(site, i, j)
+            fib = transport.fiber(sq.apex)
+            coh_i = transport.coherence(leg_i, i, e)
+            coh_j = transport.coherence(leg_j, j, e)
+            transitions[(j, i)] = fib.compose(fib.inverse(coh_j), coh_i)
+    return DescentDatum(x, family, objects, transitions)
+
+
+def oracle_effectiveness_witnesses(site, transport, d):
+    """Every (object e over x, per-piece isomorphisms) inducing the datum, in search order.
+
+    A witness satisfies the defining equation transition(j,i) =
+    (a_j restricted) ∘ (canonical comparison of e) ∘ (a_i restricted)^-1
+    over every ordered pair.
+    """
+    cocycle = oracle_check_cocycle(site, transport, d)
+    if not cocycle.ok:
+        raise CocycleFails(cocycle.witness)
+    d = oracle_complete_datum(site, transport, d)
+    fib_x = transport.fiber(d.x)
+    for e in sorted(fib_x.objects):
+        cmp_datum = oracle_comparison_datum(site, transport, e, d.x, d.family)
+        iso_choices = []
+        for iota in d.family:
+            fib_u = transport.fiber(site.base.src(iota))
+            e_restr = transport.restrict_obj(iota, e)
+            iso_choices.append(
+                [m for m in sorted(fib_u.hom(e_restr, d.objects[iota])) if fib_u.is_iso(m)]
+            )
+        for combo in itertools.product(*iso_choices):
+            alphas = dict(zip(d.family, combo))
+            if oracle_witnesses_effectiveness(site, transport, d, cmp_datum, alphas):
+                yield e, alphas
+
+
+def oracle_is_effective(site: FiniteSite, transport: Transport, d: DescentDatum):
+    """Search for a global object inducing the datum; first witness or None."""
+    return next(oracle_effectiveness_witnesses(site, transport, d), None)
+
+
+def oracle_witnesses_effectiveness(site, transport, d, cmp_datum, alphas) -> bool:
+    for i in d.family:
+        for j in d.family:
+            sq, leg_i, leg_j = oracle_pair_legs(site, i, j)
+            fib = transport.fiber(sq.apex)
+            ai = transport.restrict_mor(leg_i, alphas[i])
+            aj = transport.restrict_mor(leg_j, alphas[j])
+            beta = cmp_datum.transitions[(j, i)]
+            rhs = fib.compose(aj, fib.compose(beta, fib.inverse(ai)))
+            if d.transitions[(j, i)] != rhs:
+                return False
+    return True
+
+
+def oracle_all_effectiveness_witnesses(site, transport, d):
+    """Every (object, isomorphism family) witnessing effectiveness."""
+    return list(oracle_effectiveness_witnesses(site, transport, d))
+
+
+# -- descent-datum morphisms and the stack verdict ----------------------------
+
+
+def oracle_datum_morphisms(site, transport, d1: DescentDatum, d2: DescentDatum):
+    """All families (f_i) over the pieces commuting with both transition sets."""
+    d1 = oracle_complete_datum(site, transport, d1)
+    d2 = oracle_complete_datum(site, transport, d2)
+    fam = d1.family
+    choices = []
+    for iota in fam:
+        fib_u = transport.fiber(site.base.src(iota))
+        choices.append(sorted(fib_u.hom(d1.objects[iota], d2.objects[iota])))
+    out = []
+    for combo in itertools.product(*choices):
+        fs = dict(zip(fam, combo))
+        ok = True
+        for i in fam:
+            for j in fam:
+                sq, leg_i, leg_j = oracle_pair_legs(site, i, j)
+                fib = transport.fiber(sq.apex)
+                lhs = fib.compose(transport.restrict_mor(leg_j, fs[j]), d1.transitions[(j, i)])
+                rhs = fib.compose(d2.transitions[(j, i)], transport.restrict_mor(leg_i, fs[i]))
+                if lhs != rhs:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(fs)
+    return out
+
+
+def oracle_all_descent_data(site, transport, x, family):
+    """Every descent-shaped datum over the covering (transitions isos, diagonal id)."""
+    family = tuple(sorted(family))
+    object_choices = [sorted(transport.fiber(site.base.src(iota)).objects) for iota in family]
+    for objs in itertools.product(*object_choices):
+        objects = dict(zip(family, objs))
+        pair_list = [(i, j) for idx, i in enumerate(family) for j in family[idx + 1:]]
+        diag_needed = []
+        for i in family:
+            sq, l1, l2 = oracle_pair_legs(site, i, i)
+            if l1 != l2:
+                diag_needed.append(i)
+        iso_choices = []
+        for i, j in pair_list:
+            sq, leg_i, leg_j = oracle_pair_legs(site, i, j)
+            fib = transport.fiber(sq.apex)
+            src = transport.restrict_obj(leg_i, objects[i])
+            tgt = transport.restrict_obj(leg_j, objects[j])
+            iso_choices.append([m for m in sorted(fib.hom(src, tgt)) if fib.is_iso(m)])
+        for i in diag_needed:
+            sq, l1, l2 = oracle_pair_legs(site, i, i)
+            fib = transport.fiber(sq.apex)
+            src = transport.restrict_obj(l1, objects[i])
+            tgt = transport.restrict_obj(l2, objects[i])
+            iso_choices.append([m for m in sorted(fib.hom(src, tgt)) if fib.is_iso(m)])
+        for combo in itertools.product(*iso_choices):
+            transitions = {}
+            for (i, j), m in zip(pair_list, combo[: len(pair_list)]):
+                transitions[(j, i)] = m
+            for i, m in zip(diag_needed, combo[len(pair_list):]):
+                transitions[(i, i)] = m
+            yield DescentDatum(x, family, objects, transitions)
+
+
+def oracle_stack_verdict(site: FiniteSite, transport: Transport) -> StackVerdict:
+    """Comparison-functor verdict over every covering of the site.
+
+    Prestack: for all global pairs the map into descent-datum morphisms
+    is bijective.  Stack: additionally every datum passing the cocycle
+    check is effective.
+    """
+    base = site.base
+    for x in sorted(base.objects):
+        fib_x = transport.fiber(x)
+        for fam in site.families(x):
+            for e1 in sorted(fib_x.objects):
+                c1 = oracle_comparison_datum(site, transport, e1, x, fam)
+                for e2 in sorted(fib_x.objects):
+                    globals_ = sorted(fib_x.hom(e1, e2))
+                    c2 = oracle_comparison_datum(site, transport, e2, x, fam)
+                    images = []
+                    for u in globals_:
+                        images.append(tuple(sorted(
+                            (iota, transport.restrict_mor(iota, u)) for iota in fam
+                        )))
+                    if len(set(images)) != len(images):
+                        return StackVerdict("neither", (x, fam, e1, e2, "not faithful"))
+                    morphisms = oracle_datum_morphisms(site, transport, c1, c2)
+                    keyed = {tuple(sorted(m.items())) for m in morphisms}
+                    if set(images) != keyed:
+                        return StackVerdict("neither", (x, fam, e1, e2, "not full"))
+    for x in sorted(base.objects):
+        for fam in site.families(x):
+            for datum in oracle_all_descent_data(site, transport, x, fam):
+                if not oracle_check_cocycle(site, transport, datum).ok:
+                    continue
+                if oracle_is_effective(site, transport, datum) is None:
+                    return StackVerdict("prestack-only", (x, fam, datum.objects))
+    return StackVerdict("stack")
+
