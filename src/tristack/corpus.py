@@ -388,32 +388,30 @@ def glue_data_from_torsor(torsor):
     simple-graph bases and for face-closed complexes); derives the
     overlap identifications from the per-piece trivializing gauges.
     """
-    from .torsor import GlueData, closed_star, is_trivial, restrict_torsor
+    from .torsor import GlueData, _pieces_by_cell, is_trivial, restrict_torsor, star_cover
 
     base, grp = torsor.base, torsor.group
-    pieces = tuple(closed_star(base, v) for v in base.vertices)
+    pieces = star_cover(base)
     gauges = []
     for cells in pieces:
         triv = is_trivial(restrict_torsor(torsor, cells))
         if not triv:
             raise ValueError("a star restriction is not trivial; no glue presentation")
         gauges.append(triv.gauge)
+    # only pieces that share a cell overlap
+    meeting = {(i, j) for owners in _pieces_by_cell(pieces).values() for i in owners for j in owners if i < j}
     transitions = {}
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            overlap = pieces[i] & pieces[j]
-            if not overlap:
-                continue
-            table = {}
-            for cell in overlap:
-                v = _vertex_of_cell(base, cell)
-                table[cell] = grp.mul(grp.inverse(gauges[i][v]), gauges[j][v])
-            transitions[(i, j)] = table
+    for i, j in sorted(meeting):
+        table = {}
+        for cell in pieces[i] & pieces[j]:
+            v = _vertex_of_cell(base, cell)
+            table[cell] = grp.mul(grp.inverse(gauges[i][v]), gauges[j][v])
+        transitions[(i, j)] = table
     return GlueData(base, grp, pieces, transitions)
 
 
 def _vertex_of_cell(base, cell):
-    if cell in base.vertices:
+    if cell in base.vertex_set:
         return cell
     if cell in base.edges:
         return base.edges[cell].frm

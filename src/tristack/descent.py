@@ -21,6 +21,7 @@ from .fincat import (
     PullbackSquare,
     Verdict,
     category_to_json,
+    is_pullback,
     pullback,
     validate_category,
 )
@@ -584,14 +585,25 @@ def stack_verdict(site: FiniteSite, transport: Transport) -> StackVerdict:
 
     Prestack: for all global pairs the map into descent-datum morphisms
     is bijective.  Stack: additionally every datum passing the cocycle
-    check is effective.  Each covering is compiled once and serves both
-    halves.
+    check is effective.
+
+    Descent along a family depends only on the sieve it generates (with
+    genuine pullbacks, which ``validate_site`` and ``site_from_json``
+    ensure), so two families with one sieve pass or fail together.  Only
+    the first family of each sieve over x is compiled and checked, once
+    for both halves; a later one could fail only where its first already
+    has, so the first failing family and its witness are unchanged.
     """
     base = site.base
     coverings = []
     for x in sorted(base.objects):
         fib_x = transport.fiber(x)
+        sieves = set()
         for fam in site.families(x):
+            sieve = frozenset(base.compose(iota, k) for iota in fam for k in base.into_obj(base.src(iota)))
+            if sieve in sieves:
+                continue
+            sieves.add(sieve)
             cov = _Covering(site, transport, x, fam)
             coverings.append(cov)
             for e1 in sorted(fib_x.objects):
@@ -627,13 +639,47 @@ def site_to_json(site: FiniteSite) -> dict:
     }
 
 
+def _given_squares(base: FinCat, entries) -> dict:
+    """The chosen squares of a site file, each checked to be a pullback.
+
+    Descent along a covering is computed through these squares, so one
+    that is ill-typed, does not commute or is not universal makes the
+    file malformed; the error names the entry and its field.
+    """
+    if not isinstance(entries, list):
+        raise SiteError("pullbacks: expected a list of squares")
+    chosen = {}
+    for n, e in enumerate(entries):
+        at = f"pullbacks[{n}]"
+        if not isinstance(e, dict):
+            raise SiteError(f"{at}: expected an object")
+        for key in ("f", "g", "apex", "toLeft", "toRight"):
+            if key not in e:
+                raise SiteError(f"{at}: missing {key!r}")
+        f, g, apex = e["f"], e["g"], e["apex"]
+        for key in ("f", "g"):
+            if not isinstance(e[key], str) or e[key] not in base.morphisms:
+                raise SiteError(f"{at}.{key}: {e[key]!r} is not an arrow")
+        if base.tgt(f) != base.tgt(g):
+            raise SiteError(f"{at}.g: {g!r} does not end where f does ({base.tgt(f)})")
+        if not isinstance(apex, str) or apex not in base.objects:
+            raise SiteError(f"{at}.apex: {apex!r} is not an object")
+        for key, end in (("toLeft", base.src(f)), ("toRight", base.src(g))):
+            leg = e[key]
+            if not isinstance(leg, str) or leg not in base.hom(apex, end):
+                raise SiteError(f"{at}.{key}: {leg!r} is not an arrow {apex} -> {end}")
+        sq = PullbackSquare(apex, e["toLeft"], e["toRight"])
+        if base.compose(f, sq.to_left) != base.compose(g, sq.to_right):
+            raise SiteError(f"{at}: the square does not commute")
+        if not is_pullback(base, f, g, sq):
+            raise SiteError(f"{at}: the square is not a pullback")
+        chosen[(f, g)] = sq
+    return chosen
+
+
 def site_from_json(raw: dict) -> FiniteSite:
     base = validate_category(raw["base"])
-    chosen = {
-        (e["f"], e["g"]): PullbackSquare(e["apex"], e["toLeft"], e["toRight"])
-        for e in raw.get("pullbacks", ())
-    }
-    return FiniteSite(base, raw["coverings"], chosen)
+    return FiniteSite(base, raw["coverings"], _given_squares(base, raw.get("pullbacks", [])))
 
 
 def datum_from_json(raw: dict) -> DescentDatum:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class CategoryError(ValueError):
@@ -85,9 +86,6 @@ class FinCat:
     def tgt(self, m: str) -> str:
         return self.morphisms[m].tgt
 
-    def id_of(self, obj: str) -> str:
-        return self.identity[obj]
-
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.src(m)) == m and self.src(m) == self.tgt(m)
 
@@ -103,9 +101,6 @@ class FinCat:
 
     def hom(self, a: str, b: str) -> list[str]:
         return [m for m in self._by_src.get(a, ()) if self.tgt(m) == b]
-
-    def from_obj(self, a: str) -> list[str]:
-        return list(self._by_src.get(a, ()))
 
     def into_obj(self, b: str) -> list[str]:
         return list(self._by_tgt.get(b, ()))
@@ -152,63 +147,77 @@ def _check_axioms(c: FinCat):
         if m.src not in c.objects or m.tgt not in c.objects:
             raise IllTypedComposite((m.id, "endpoint not an object"))
     mors = c.morphisms
+    # rows[h][f] = h∘f, filled while the entries are typed
+    rows = {m: {} for m in mors}
     for (g, f), gf in c.table.items():
         mg, mf, mgf = mors.get(g), mors.get(f), mors.get(gf)
         if mg is None or mf is None or mgf is None:
             raise IllTypedComposite((g, f))
         if mf.tgt != mg.src or mgf.src != mf.src or mgf.tgt != mg.tgt:
             raise IllTypedComposite((g, f))
+        rows[g][f] = gf
     # every entry is a distinct composable pair, so the table is total
     # exactly when it has as many entries as there are such pairs
     pairs = sum(len(c._by_tgt.get(o, ())) * len(c._by_src.get(o, ())) for o in c.objects)
     if len(c.table) != pairs:
         _first_axiom_fault(c)
-    for f in c.morphisms:
-        if c.table[(f, c.identity[c.src(f)])] != f:
-            raise IdentityLawViolation((f, c.identity[c.src(f)]))
-        if c.table[(c.identity[c.tgt(f)], f)] != f:
-            raise IdentityLawViolation((c.identity[c.tgt(f)], f))
-    if not _generators_associate(c):
+    ident = c.identity
+    for f, mf in mors.items():
+        if rows[f][ident[mf.src]] != f:
+            raise IdentityLawViolation((f, ident[mf.src]))
+        if rows[ident[mf.tgt]][f] != f:
+            raise IdentityLawViolation((ident[mf.tgt], f))
+    if not _generators_associate(c, rows):
         _first_axiom_fault(c)
 
 
-def _generators_associate(c: FinCat) -> bool:
-    """Light's associativity test on a greedy generating set.
+def _generators(c: FinCat, rows: dict) -> list:
+    """A greedy generating set in id order: an arrow becomes a generator when
+    the composites of the earlier ones miss it.
+
+    The generated subcategory is kept closed under left composition with
+    the generators.  A new generator m adds m∘r for each reached r into
+    its source; every word in the generators is then reached, because the
+    part applied before its first m was reached before m.
+    """
+    mors = c.morphisms
+    reached = set(c.identity.values())
+    gens, gens_from = [], {}
+    for m in mors:
+        if m in reached:
+            continue
+        gens.append(m)
+        gens_from.setdefault(mors[m].src, []).append(m)
+        row = rows[m]
+        todo = [row[r] for r in c._by_tgt[mors[m].src] if r in reached]
+        while todo:
+            a = todo.pop()
+            if a not in reached:
+                reached.add(a)
+                todo += [rows[g][a] for g in gens_from.get(mors[a].tgt, ())]
+    return gens
+
+
+def _generators_associate(c: FinCat, rows: dict) -> bool:
+    """Light's associativity test on the greedy generating set.
 
     Call g good when (h∘g)∘f = h∘(g∘f) for every composable h and f.  If
     a and b are good then so is a∘b: both sides reduce to h∘(a∘(b∘f))
     using only the goodness of a and b, never associativity of the table.
     Identities are good by the identity laws, so once every arrow is a
-    composite of identities and generators all arrows are good.  The
-    generators are taken greedily in id order: an arrow becomes one when
-    the composites of the earlier ones miss it.
+    composite of identities and generators all arrows are good.  For a
+    generator g and each h after it, the column of f into the source of g
+    is compared at once: row (h∘g) at f against row h at g∘f.
     """
-    table = c.table
-    src = {m: mor.src for m, mor in c.morphisms.items()}
-    tgt = {m: mor.tgt for m, mor in c.morphisms.items()}
-    reached = {c.identity[o] for o in c.objects}
-    closed, gens = [], []
-    for m in c.morphisms:
-        if m in reached:
-            continue
-        gens.append(m)
-        reached.add(m)
-        todo = [m]
-        while todo:  # keep ``closed`` closed under composition, one new arrow at a time
-            a = todo.pop()
-            closed.append(a)
-            for b in closed:
-                for ab in (table[(a, b)] if src[a] == tgt[b] else None,
-                           table[(b, a)] if src[b] == tgt[a] else None):
-                    if ab is not None and ab not in reached:
-                        reached.add(ab)
-                        todo.append(ab)
-    for g in gens:
-        for h in c._by_src[tgt[g]]:
-            hg = table[(h, g)]
-            for f in c._by_tgt[src[g]]:
-                if table[(h, table[(g, f)])] != table[(hg, f)]:
-                    return False
+    for g in _generators(c, rows):
+        mg = c.morphisms[g]
+        into = c._by_tgt[mg.src]
+        row_g = rows[g]
+        at_f, at_gf = itemgetter(*into), itemgetter(*[row_g[f] for f in into])
+        for h in c._by_src[mg.tgt]:
+            row_h = rows[h]
+            if at_f(rows[row_h[g]]) != at_gf(row_h):
+                return False
     return True
 
 
@@ -417,20 +426,29 @@ def functors(dom: FinCat, cod: FinCat, obj_choices: dict, mor_ok=None, injective
     slots = [dom.identity[o] for o in objs]
     slots += sorted(m for m in dom.morphisms if not dom.is_identity(m))
     # ``taken`` holds the images in use; it is read only when ``injective``
-    # keeps them distinct
+    # keeps them distinct.  A slot's iterator resumes only after every
+    # deeper slot has released its image, so skipping ``taken`` lazily
+    # skips what it held when the iterator was made.
     obj_map, mor_map, taken, stack = {}, {}, set(), []
+    # an arrow slot's candidates are built once per pair of endpoint images:
+    # the sorted hom-set, then the part of it ``mor_ok`` keeps for the slot
+    homs, kept = {}, {}
 
     def images(depth):
         if depth < len(objs):
             cands = [cod.identity[x] for x in obj_choices[objs[depth]]]
         else:
             m = dom.morphisms[slots[depth]]
-            cands = [
-                m2
-                for m2 in sorted(cod.hom(obj_map[m.src], obj_map[m.tgt]))
-                if mor_ok is None or mor_ok(m.id, m2)
-            ]
-        return iter([m2 for m2 in cands if not (injective and m2 in taken)])
+            ends = (obj_map[m.src], obj_map[m.tgt])
+            cands = homs.get(ends)
+            if cands is None:
+                cands = homs[ends] = sorted(cod.hom(*ends))
+            if mor_ok is not None:
+                key = (m.id, ends)
+                if key not in kept:
+                    kept[key] = [m2 for m2 in cands if mor_ok(m.id, m2)]
+                cands = kept[key]
+        return itertools.filterfalse(taken.__contains__, cands) if injective else iter(cands)
 
     while True:
         if len(stack) == len(slots):
@@ -749,32 +767,60 @@ class PullbackSquare:
     to_right: str  # projection onto the source of g
 
 
+def _cones(c: FinCat, f: str, g: str) -> list:
+    """Every commuting cone (apex, left, right) over the cospan (f, g)."""
+    return [
+        (p, left, right)
+        for p in c.objects
+        for left in c.hom(p, c.src(f))
+        for right in c.hom(p, c.src(g))
+        if c.compose(f, left) == c.compose(g, right)
+    ]
+
+
+def _factors_uniquely(c: FinCat, p: str, left: str, right: str, cones) -> bool:
+    """Whether every cone factors through (p, left, right) by exactly one arrow."""
+    for w, l2, r2 in cones:
+        count = 0
+        for m in c.hom(w, p):
+            if c.compose(left, m) == l2 and c.compose(right, m) == r2:
+                count += 1
+        if count != 1:
+            return False
+    return True
+
+
+def is_pullback(c: FinCat, f: str, g: str, sq: PullbackSquare) -> bool:
+    """Whether sq is a pullback of the cospan (f, g).
+
+    Its legs must be arrows apex -> src(f) and apex -> src(g), the square
+    must commute, and every commuting cone must factor through it by
+    exactly one arrow.
+    """
+    arrows = c.morphisms
+    p, left, right = sq.apex, sq.to_left, sq.to_right
+    if p not in c.objects or not all(isinstance(a, str) and a in arrows for a in (f, g, left, right)):
+        return False
+    if c.tgt(f) != c.tgt(g) or (c.src(left), c.tgt(left), c.src(right), c.tgt(right)) != (p, c.src(f), p, c.src(g)):
+        return False
+    if c.compose(f, left) != c.compose(g, right):
+        return False
+    return _factors_uniquely(c, p, left, right, _cones(c, f, g))
+
+
 def pullback(c: FinCat, f: str, g: str) -> PullbackSquare | None:
     """Chosen pullback of the cospan (f, g), or None when no cone is universal.
 
     Ties between isomorphic apexes are broken by lexicographically least
     (apex, left leg, right leg), which keeps downstream cleavages
-    deterministic.
+    deterministic.  Each candidate is a commuting cone, so only
+    ``is_pullback``'s universality test is left to run on it.
     """
     if c.tgt(f) != c.tgt(g):
         raise IllTypedComposite((f, g))
-    cones = []
-    for p in c.objects:
-        for left in c.hom(p, c.src(f)):
-            for right in c.hom(p, c.src(g)):
-                if c.compose(f, left) == c.compose(g, right):
-                    cones.append((p, left, right))
+    cones = _cones(c, f, g)
     for p, left, right in sorted(cones):
-        universal = True
-        for w, l2, r2 in cones:
-            count = 0
-            for m in c.hom(w, p):
-                if c.compose(left, m) == l2 and c.compose(right, m) == r2:
-                    count += 1
-            if count != 1:
-                universal = False
-                break
-        if universal:
+        if _factors_uniquely(c, p, left, right, cones):
             return PullbackSquare(p, left, right)
     return None
 

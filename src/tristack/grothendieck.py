@@ -58,9 +58,6 @@ class PseudoFunctor:
     epsilon: dict
     alpha: dict
 
-    def fiber_of_arrow_src(self, f: str) -> FinCat:
-        return self.fibers[self.base.src(f)]
-
     def composable_pairs(self):
         """Pairs (f, g) with tgt(f) == src(g), so g∘f is defined."""
         for f in sorted(self.base.morphisms):

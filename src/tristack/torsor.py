@@ -88,6 +88,7 @@ class SimplicialBase:
             walk = self.face_vertices(f.id)
             if walk is None:
                 raise TorsorError(f"face {f.id} boundary does not close")
+        self._incidences = None  # vertex -> (edges, faces) at it, built by ``closed_star``
 
     def ends(self, eid, direction):
         e = self.edges[eid]
@@ -113,26 +114,31 @@ class SimplicialBase:
     def cells(self):
         return set(self.vertices) | set(self.edges) | set(self.faces)
 
-    def edge_cells_of_face(self, fid):
-        return {eid for eid, _ in self.faces[fid].boundary}
-
 
 def complex_from_graph(g: BaseGraph) -> SimplicialBase:
     return SimplicialBase(g.vertices, list(g.edges.values()), ())
 
 
 def closed_star(base: SimplicialBase, v: str) -> frozenset:
+    if base._incidences is None:  # edges and faces at each vertex, in id order, indexed once
+        at = {u: ([], []) for u in base.vertices}
+        for e in base.edges.values():
+            for u in {e.frm, e.to}:
+                at[u][0].append(e.id)
+        for f in base.faces.values():
+            for u in set(base.face_vertices(f.id)):
+                at[u][1].append(f.id)
+        base._incidences = at
+    edges_at, faces_at = base._incidences[v]
     cells = {v}
-    for e in base.edges.values():
-        if v in (e.frm, e.to):
-            cells |= {e.id, e.frm, e.to}
-    for f in base.faces.values():
-        verts = base.face_vertices(f.id)
-        if v in verts:
-            cells.add(f.id)
-            for eid, _ in f.boundary:
-                e = base.edges[eid]
-                cells |= {eid, e.frm, e.to}
+    for eid in edges_at:
+        e = base.edges[eid]
+        cells |= {eid, e.frm, e.to}
+    for fid in faces_at:
+        cells.add(fid)
+        for eid, _ in base.faces[fid].boundary:
+            e = base.edges[eid]
+            cells |= {eid, e.frm, e.to}
     return frozenset(cells)
 
 
@@ -263,10 +269,11 @@ def find_gauge_isomorphism(t1: TorsorCocycle, t2: TorsorCocycle) -> dict | None:
 def restrict_torsor(t: TorsorCocycle, cells: frozenset) -> TorsorCocycle:
     if not is_subcomplex(t.base, cells):
         raise TorsorError("restriction target is not a subcomplex")
+    base = t.base
     sub = SimplicialBase(
-        [v for v in t.base.vertices if v in cells],
-        [e for e in t.base.edges.values() if e.id in cells],
-        [f for f in t.base.faces.values() if f.id in cells],
+        [c for c in cells if c in base.vertex_set],
+        [base.edges[c] for c in cells if c in base.edges],
+        [base.faces[c] for c in cells if c in base.faces],
     )
     return TorsorCocycle(sub, t.group, {e: t.transitions[e] for e in sub.edges})
 

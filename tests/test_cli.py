@@ -203,6 +203,45 @@ class TestSiteAndStack:
         assert code == 2 and captured.err == ""
         assert "site axioms fail: T2 fails: no pullback" in captured.out
 
+    def _two_point_with_square(self, tmp_path, square):
+        raw = descent.site_to_json(corpus.site_two_point_space())
+        raw["pullbacks"] = [square]
+        site, stack = tmp_path / "site.json", tmp_path / "in.json"
+        site.write_text(json.dumps(raw))
+        stack.write_text(json.dumps({"site": raw, "fibered": {"kind": "slice", "object": "X"}}))
+        return site, stack
+
+    def test_ill_typed_square_is_malformed_input(self, tmp_path, capsys):
+        """The square apex u1, legs id_u1 and id_u1 over (u1<=X, u2<=X): its right leg misses u2."""
+        square = {"f": "u1<=X", "g": "u2<=X", "apex": "u1", "toLeft": "id_u1", "toRight": "id_u1"}
+        site, stack = self._two_point_with_square(tmp_path, square)
+        for argv in (["site-check", str(site)], ["stack-check", str(stack)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.err == ""
+            assert "pullbacks[0].toRight: 'id_u1' is not an arrow u1 -> u2" in captured.out
+
+    def test_commuting_square_that_is_no_pullback_is_malformed_input(self, tmp_path, capsys):
+        """Apex u1 with both legs u1<=X commutes over (id_X, id_X), but X does not factor through it."""
+        square = {"f": "id_X", "g": "id_X", "apex": "u1", "toLeft": "u1<=X", "toRight": "u1<=X"}
+        site, stack = self._two_point_with_square(tmp_path, square)
+        for argv in (["site-check", str(site)], ["stack-check", str(stack)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.err == ""
+            assert "pullbacks[0]: the square is not a pullback" in captured.out
+
+    def test_given_pullback_table_is_accepted(self, tmp_path, capsys):
+        """A validated site writes its chosen squares; reading them back keeps the verdicts."""
+        site = corpus.site_two_point_space()
+        assert descent.validate_site(site).ok
+        raw = descent.site_to_json(site)
+        assert raw["pullbacks"]
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps({"site": raw, "fibered": {"kind": "slice", "object": "X"}}))
+        assert main(["stack-check", str(p)]) == 0
+        assert "verdict: stack" in capsys.readouterr().out
+
 
 class TestGrothRoundtrip:
     def test_twisted_cocycle_file(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from tristack.descent import (
     CocycleFails,
     DescentDatum,
     FiniteSite,
+    SiteError,
     Transport,
     all_effectiveness_witnesses,
     check_cocycle,
@@ -24,7 +25,7 @@ from tristack.descent import (
     stack_verdict,
     validate_site,
 )
-from tristack.fincat import slice_category
+from tristack.fincat import PullbackSquare, category_to_json, slice_category
 from tristack.grothendieck import strict_pseudofunctor, total_category
 
 
@@ -117,6 +118,66 @@ class TestValidateSite:
         }
         with pytest.raises(MissingPullback):
             validate_site(FiniteSite(base, coverings))
+
+
+class TestPullbackTable:
+    """``site_from_json`` checks each given square, naming the entry and the field."""
+
+    @staticmethod
+    def load(square, site=None):
+        raw = site_to_json(site or site_two_point_space())
+        raw["pullbacks"] = [{"f": "id_X", "g": "id_X", "apex": "X", "toLeft": "id_X", "toRight": "id_X"}, square]
+        return site_from_json(raw)
+
+    @pytest.mark.parametrize(
+        "square, message",
+        [
+            ({"f": "u1<=X", "g": "u2<=X", "apex": "u1", "toLeft": "id_u1", "toRight": "id_u1"},
+             "pullbacks[1].toRight: 'id_u1' is not an arrow u1 -> u2"),
+            ({"f": "u1<=X", "g": "u2<=X", "apex": "0", "toLeft": "0<=u2", "toRight": "0<=u2"},
+             "pullbacks[1].toLeft: '0<=u2' is not an arrow 0 -> u1"),
+            ({"f": "u1<=X", "g": "u2<=X", "apex": "Y", "toLeft": "0<=u1", "toRight": "0<=u2"},
+             "pullbacks[1].apex: 'Y' is not an object"),
+            ({"f": "nope", "g": "u2<=X", "apex": "0", "toLeft": "0<=u1", "toRight": "0<=u2"},
+             "pullbacks[1].f: 'nope' is not an arrow"),
+            ({"f": "u1<=X", "g": ["u2<=X"], "apex": "0", "toLeft": "0<=u1", "toRight": "0<=u2"},
+             "pullbacks[1].g: ['u2<=X'] is not an arrow"),
+            ({"f": "u1<=X", "g": "0<=u2", "apex": "0", "toLeft": "0<=u1", "toRight": "id_0"},
+             "pullbacks[1].g: '0<=u2' does not end where f does (X)"),
+            ({"f": "u1<=X", "apex": "0", "toLeft": "0<=u1", "toRight": "0<=u2"},
+             "pullbacks[1]: missing 'g'"),
+            ({"f": "id_X", "g": "id_X", "apex": "u1", "toLeft": "u1<=X", "toRight": "u1<=X"},
+             "pullbacks[1]: the square is not a pullback"),
+            ("square", "pullbacks[1]: expected an object"),
+        ],
+    )
+    def test_bad_square_names_entry_and_field(self, square, message):
+        with pytest.raises(SiteError) as err:
+            self.load(square)
+        assert str(err.value) == message
+
+    def test_square_that_does_not_commute(self):
+        from tristack.fincat import group_category
+
+        base = group_category(["e", "s"], {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"})
+        raw = {"base": category_to_json(base), "coverings": {"*": [["id_*"]]},
+               "pullbacks": [{"f": "id_*", "g": "id_*", "apex": "*", "toLeft": "id_*", "toRight": "g:s"}]}
+        with pytest.raises(SiteError, match=r"^pullbacks\[0\]: the square does not commute$"):
+            site_from_json(raw)
+        raw["pullbacks"][0]["toLeft"] = "g:s"  # (s, s) commutes and is universal
+        assert site_from_json(raw)._chosen == {("id_*", "id_*"): PullbackSquare("*", "g:s", "g:s")}
+
+    def test_table_must_be_a_list(self):
+        raw = site_to_json(site_two_point_space())
+        raw["pullbacks"] = {"f": "id_X"}
+        with pytest.raises(SiteError, match="pullbacks: expected a list of squares"):
+            site_from_json(raw)
+
+    def test_written_squares_read_back(self):
+        site = site_three_atoms()
+        assert validate_site(site).ok
+        again = site_from_json(site_to_json(site))
+        assert again._chosen == site._chosen and len(again._chosen) > 10
 
 
 class TestComparisonDatum:

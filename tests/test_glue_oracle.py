@@ -207,3 +207,64 @@ def test_gauges_trivialise_their_pieces():
                 assert moved == grp.identity
         glued += 1
     assert glued >= 60
+
+
+def oracle_closed_star(base, v):
+    cells = {v}
+    for e in base.edges.values():
+        if v in (e.frm, e.to):
+            cells |= {e.id, e.frm, e.to}
+    for f in base.faces.values():
+        verts = base.face_vertices(f.id)
+        if v in verts:
+            cells.add(f.id)
+            for eid, _ in f.boundary:
+                e = base.edges[eid]
+                cells |= {eid, e.frm, e.to}
+    return frozenset(cells)
+
+
+def oracle_glue_data_from_torsor(t):
+    """Star pieces by scanning the whole base per vertex, overlaps of every piece pair."""
+    base, grp = t.base, t.group
+    pieces = tuple(oracle_closed_star(base, v) for v in base.vertices)
+    gauges = [torsor.is_trivial(restrict_torsor(t, cells)).gauge for cells in pieces]
+    transitions = {}
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            overlap = pieces[i] & pieces[j]
+            if not overlap:
+                continue
+            table = {}
+            for cell in overlap:
+                v = corpus._vertex_of_cell(base, cell)
+                table[cell] = grp.mul(grp.inverse(gauges[i][v]), gauges[j][v])
+            transitions[(i, j)] = table
+    return GlueData(base, grp, pieces, transitions)
+
+
+def test_indexed_stars_and_overlaps_match_the_scans():
+    """``closed_star`` reads per-vertex incidences and ``glue_data_from_torsor`` intersects only
+    pieces that share a cell; pieces, tables and their dict order stay as the scans give them."""
+    rng = random.Random(SEED)
+    for base in corpus.simplicial_base_corpus(seed=SEED, n=20) + [corpus.path_base(40)]:
+        assert torsor.star_cover(base) == tuple(oracle_closed_star(base, v) for v in base.vertices)
+        for grp in (torsor.group_z2(), torsor.group_s3()):
+            t = corpus.random_torsor(rng, base, grp, star_presentable=True)
+            new, old = corpus.glue_data_from_torsor(t), oracle_glue_data_from_torsor(t)
+            assert new.pieces == old.pieces
+            assert [(k, list(v.items())) for k, v in new.transitions.items()] == [
+                (k, list(v.items())) for k, v in old.transitions.items()
+            ]
+
+
+def test_restriction_matches_the_base_scan():
+    rng = random.Random(SEED)
+    for base in corpus.simplicial_base_corpus(seed=SEED, n=20):
+        t = corpus.random_torsor(rng, base, torsor.group_s3(), star_presentable=True)
+        for cells in torsor.star_cover(base):
+            sub = restrict_torsor(t, cells)
+            assert sub.base.vertices == tuple(v for v in base.vertices if v in cells)
+            assert list(sub.base.edges) == [e for e in base.edges if e in cells]
+            assert list(sub.base.faces) == [f for f in base.faces if f in cells]
+            assert list(sub.transitions.items()) == [(e, t.transitions[e]) for e in base.edges if e in cells]

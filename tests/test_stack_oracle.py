@@ -14,15 +14,23 @@ or breaking an identity law; on every corpus site, its variants less one
 covering family, and hypothesis poset sites and sites of opens; and on
 the slice, constant-presheaf, Z2, Z3 and interval-fiber transports over
 the corpus sites, with Z3 also along a seeded mix of cartesian lifts.
-The oracles run only where they take milliseconds (no S5, no chain-6,
-constant presheaves with at most three elements).
+The stack verdict, which checks one family per sieve, is also compared
+on sites over bases that are not posets (groups, posets times a group, a
+parallel pair, the opposite of small finite sets), where one sieve has
+several families.  Light's generating set and test are compared with the
+pairwise closure and the per-triple check they replaced.  The oracles
+run only where they take milliseconds (no chain-6, sites of at most four
+objects, constant presheaves with at most three elements); S5 meets only
+the generating-set oracle.
 """
 
 import functools
 import itertools
 import random
 import re
+from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -203,6 +211,58 @@ class TestCategoryAxioms:
         c = repointed(c, key, data.draw(st.sampled_from(others)))
         assert outcome(oracle_check_axioms, c)[0] is IdentityLawViolation
         assert_same_axiom_verdict(c)
+
+
+def rows_of(c: FinCat) -> dict:
+    """rows[h][f] = h∘f, as ``_check_axioms`` hands them to Light's test."""
+    rows = {m: {} for m in c.morphisms}
+    for (g, f), gf in c.table.items():
+        rows[g][f] = gf
+    return rows
+
+
+def reaches_light(c: FinCat) -> bool:
+    """Whether the table is typed, total and keeps the identity laws, so Light's test runs."""
+    try:
+        oracle_check_axioms(c)
+    except (IllTypedComposite, IdentityLawViolation):
+        return False
+    except NonAssociative:
+        pass
+    return True
+
+
+def repointed_variants():
+    """Every composite of two non-identities of S3 re-pointed at each other arrow, and 24
+    seeded ones of S4 and of the transformation monoid of a 3-set."""
+    rng = random.Random(13)
+    out = []
+    for c in (symmetric_group(3), symmetric_group(4), transformation_monoid(3)):
+        spots = [(k, other) for k, gf in sorted(c.table.items()) if not c.is_identity(k[0]) and not c.is_identity(k[1])
+                 for other in sorted(c.morphisms) if other != gf]
+        out += [repointed(c, k, other) for k, other in (spots if len(c.morphisms) == 6 else rng.sample(spots, 24))]
+    return out
+
+
+class TestLightsGenerators:
+    """The closure by left composition with the generators and the column-wise check
+    against the pairwise closure and the per-triple check they replaced."""
+
+    def test_categories(self):
+        for c in POOL + [symmetric_group(5)]:
+            gens, ok = oracle_generators_associate(c)
+            assert fincat._generators(c, rows_of(c)) == gens
+            assert fincat._generators_associate(c, rows_of(c)) is ok is True
+
+    def test_repointed_variants(self):
+        """Every variant that reaches Light's test fails it both ways.  Such a table is not
+        associative, so which arrows a set generates depends on the bracketing, and the two
+        closures may pick different generators; either set still finds the fault."""
+        reached = [c for c in repointed_variants() if reaches_light(c)]
+        assert len(reached) > 100
+        for c in reached:
+            assert oracle_generators_associate(c)[1] is False
+            assert fincat._generators_associate(c, rows_of(c)) is False
 
 
 # -- sites ------------------------------------------------------------------------------
@@ -503,6 +563,210 @@ class TestDescent:
                 assert as_data(descent._all_descent_data(site, transport, x, fam)) == as_data(kept)
 
 
+# -- descent per sieve, on bases that are not posets -----------------------------------------
+#
+# ``stack_verdict`` checks only the first family of each sieve.  On a poset
+# base with unions for coverings most sieves have one family, so here the
+# bases are a cyclic group G, meet-closed posets times G, a parallel pair
+# times G and the opposite of the finite sets of size at most 3.  A family
+# (m, g) and its relabelling (m, g') generate one sieve; the two arrows of
+# the parallel pair have one source but different sieves; and in the last
+# base the covering arrow p1 -> p0 is not monic (it is the map from the
+# empty set to a point).  The fibrations are presheaves whose restrictions
+# collapse or move the elements a, b, c, so that some verdicts fail.
+
+
+def cofinite_sets(most=3):
+    """Opposite of the finite sets 0..most: an arrow pn -> pm is a map m -> n, as its tuple of values."""
+
+    def mid(n, m, values):
+        return f"id_p{n}" if n == m and values == tuple(range(n)) else f"p{n}>p{m}:" + "".join(map(str, values))
+
+    arrows = [(n, m, t) for n in range(most + 1) for m in range(most + 1) for t in itertools.product(range(n), repeat=m)]
+    table = {
+        (mid(m, k, g), mid(n, m, f)): mid(n, k, tuple(f[i] for i in g))
+        for m, k, g in arrows
+        for n, m_, f in arrows
+        if m_ == m
+    }
+    objects = [f"p{n}" for n in range(most + 1)]
+    return FinCat(objects, [Morphism(mid(*a), f"p{a[0]}", f"p{a[1]}") for a in arrows],
+                  {o: f"id_{o}" for o in objects}, table)
+
+
+def times_group(base: FinCat, group: FinCat):
+    """base × group, with each arrow's (base arrow, group arrow); an arrow with the
+    group's identity keeps its base id."""
+    unit = group.identity["*"]
+    parts = {m if g == unit else f"{m}|{g}": (m, g) for m in base.morphisms for g in group.morphisms}
+    name = {v: k for k, v in parts.items()}
+    table = {
+        (name[(m1, g1)], name[(m2, g2)]): name[(base.compose(m1, m2), group.compose(g1, g2))]
+        for m1, g1 in parts.values()
+        for m2, g2 in parts.values()
+        if base.composable(m1, m2)
+    }
+    morphisms = [Morphism(k, base.src(m), base.tgt(m)) for k, (m, _) in parts.items()]
+    return FinCat(base.objects, morphisms, base.identity, table), parts
+
+
+def point_category():
+    return poset_category([], objects=["pt"])
+
+
+@functools.cache
+def non_poset_base(name):
+    """(base, its arrows as (factor arrow, group arrow), the factor, the group, the arrows allowed in families)."""
+    kind, group_name = name.split(" x ")
+    group = {"1": group_category(["e"], {("e", "e"): "e"}), "Z2": corpus.z2_category(), "Z3": corpus.z3_category()}[
+        group_name
+    ]
+    factor = {
+        "point": point_category,
+        "chain-3": lambda: corpus.site_chain(3).base,
+        "two-point": lambda: corpus.site_two_point_space().base,
+        "parallel": corpus.parallel_pair_category,
+        "cofinite": cofinite_sets,
+    }[kind]()
+    base, parts = times_group(factor, group)
+    if kind == "cofinite":  # over p0 only, from p1 or p0, so that every overlap has its pullback
+        allowed = {a for a in base.morphisms if base.tgt(a) == "p0" and base.src(a) in ("p0", "p1")}
+    else:
+        allowed = set(base.morphisms)
+    return base, parts, factor, group, allowed
+
+
+NON_POSET_BASES = ["point x Z2", "point x Z3", "chain-3 x Z2", "two-point x Z2", "two-point x Z3", "parallel x Z2",
+                   "cofinite x 1"]
+IDENTITY = {"a": "a", "b": "b", "c": "c"}
+# commuting (group generator's action, collapse below) pairs on the elements
+ACTIONS = {
+    "Z2": [({"a": "b", "b": "a", "c": "c"}, {"a": "c", "b": "c", "c": "c"}),
+           ({"a": "b", "b": "a", "c": "c"}, IDENTITY),
+           (IDENTITY, {"a": "a", "b": "a", "c": "c"}),
+           (IDENTITY, IDENTITY)],
+    "Z3": [({"a": "b", "b": "c", "c": "a"}, IDENTITY),
+           (IDENTITY, {"a": "a", "b": "a", "c": "c"})],
+    "1": [(IDENTITY, {"a": "c", "b": "c", "c": "c"}),
+          (IDENTITY, {"a": "a", "b": "a", "c": "c"}),
+          (IDENTITY, IDENTITY)],
+}
+
+
+def group_action(group: FinCat, step: dict) -> dict:
+    """Each arrow of a cyclic group to the power of ``step`` its power of the first generator is."""
+    gen = max(group.morphisms, key=lambda g: not group.is_identity(g))
+    act, g, perm = {}, group.identity["*"], dict(IDENTITY)
+    while g not in act:
+        act[g] = perm
+        g, perm = group.compose(gen, g), {e: step[perm[e]] for e in perm}
+    return act
+
+
+def non_poset_case(pick, name=None):
+    """A site on a non-poset base (``name``, or one picked) and a presheaf over it;
+    ``pick`` chooses from a list."""
+    name = name or pick(NON_POSET_BASES)
+    base, parts, factor, group, allowed = non_poset_base(name)
+    step, collapse = pick(ACTIONS[name.split(" x ")[1]])
+    act = group_action(group, step)
+    hom = {(m.src, m.tgt) for m in base.morphisms.values()}
+    below = {o: {s for s in base.objects if (s, o) in hom and (o, s) not in hom} for o in base.objects}
+    move = {}  # down the last factor arrow of each hom-set the elements collapse
+    for a, (m, _) in parts.items():
+        last = max(factor.hom(factor.src(m), factor.tgt(m))) == m
+        move[a] = collapse if last and base.src(a) in below[base.tgt(a)] else IDENTITY
+    # values closed under the action, holding what moves down to them
+    orbits = sorted({frozenset(act[g][e] for g in act) for e in "abc"}, key=sorted)
+    values = {}
+    for o in sorted(base.objects, key=lambda o: (-len(below[o]), o)):
+        if o in values:
+            continue
+        need = {
+            move[a][e] for a, m in base.morphisms.items() if m.src == o and o in below[m.tgt] for e in values[m.tgt]
+        }
+        for orbit in orbits:
+            if pick([False, True]):
+                need |= orbit
+        for same in base.objects:
+            if (same, o) in hom and (o, same) in hom:
+                values[same] = sorted(need)
+    restrictions = {a: {e: act[g][move[a][e]] for e in values[base.tgt(a)]} for a, (_, g) in parts.items()}
+    proj = elements_fibration(base, values, restrictions)[1]
+    coverings, name_of = {}, {v: k for k, v in parts.items()}
+    for x in base.objects:
+        arrows = sorted(a for a in base.into_obj(x) if a in allowed)
+        fams = []
+        for _ in range(pick([0, 1, 2]) if arrows else 0):
+            fams.append([pick(arrows) for _ in range(pick([1, 2, 3]))])
+            if pick([False, True]):  # the same factor arrows with other group parts: the same sieve
+                fams.append([name_of[(parts[a][0], pick(sorted(group.morphisms)))] for a in fams[-1]])
+        # keep the families whose overlaps exist (the parallel arrows have none)
+        coverings[x] = [fam for fam in fams if all(fincat.pullback(base, i, j) for i in fam for j in fam)]
+    return FiniteSite(base, coverings), Transport(proj)
+
+
+def sieve_of(base: FinCat, fam) -> frozenset:
+    return frozenset(base.compose(i, k) for i in fam for k in base.into_obj(base.src(i)))
+
+
+def sieve_sizes(site: FiniteSite, x) -> Counter:
+    """How many of the families of x generate each sieve."""
+    return Counter(sieve_of(site.base, fam) for fam in site.families(x))
+
+
+class TestSievesOnNonPosetBases:
+    @settings(HYPOTHESIS, derandomize=True)
+    @given(st.data())
+    def test_hypothesis_non_poset_sites(self, data):
+        site, transport = non_poset_case(lambda xs: data.draw(st.sampled_from(xs)))
+        assert outcome(descent.stack_verdict, site, transport) == outcome(oracle_stack_verdict, site, transport)
+
+    def test_the_cases_share_sieves_and_fail(self):
+        """Seeded cases of the same builder: every verdict and witness agree with the oracle,
+        both failing verdicts occur, and some fail on a family whose sieve has another family."""
+        rng = random.Random(12)
+        statuses, shared_failures, covering_arrows = set(), 0, set()
+        for name in NON_POSET_BASES * 4:
+            site, transport = non_poset_case(rng.choice, name)
+            new = outcome(descent.stack_verdict, site, transport)
+            assert new == outcome(oracle_stack_verdict, site, transport)
+            statuses.add(reason_of(new))
+            verdict = descent.stack_verdict(site, transport)
+            if verdict.witness:
+                x, fam = verdict.witness[:2]
+                shared_failures += sieve_sizes(site, x)[sieve_of(site.base, fam)] > 1
+            covering_arrows |= {i for fams in site.coverings.values() for fam in fams for i in fam}
+        assert statuses == {"stack", "prestack-only", "neither"}
+        assert shared_failures >= 2
+        assert "p1>p0:" in covering_arrows  # the map from the empty set, not monic
+
+    def test_one_source_two_sieves(self):
+        """The parallel arrows f, g: a -> b share a source, not a sieve, so {g} is checked after {f}."""
+        base = corpus.parallel_pair_category()
+        values = {"a": ["a", "b"], "b": ["a", "b"]}
+        same, collapse = {"a": "a", "b": "b"}, {"a": "a", "b": "a"}
+        restrictions = {"id_a": same, "id_b": same, "f": same, "g": collapse}
+        transport = Transport(elements_fibration(base, values, restrictions)[1])
+        site = FiniteSite(base, {"b": [["f"], ["g"]]})
+        verdict = outcome(descent.stack_verdict, site, transport)
+        assert verdict == outcome(oracle_stack_verdict, site, transport)
+        assert verdict[1] == repr(StackVerdict("neither", ("b", ("g",), "a@b", "b@b", "not full")))
+
+    def test_the_empty_set_map_is_not_monic(self):
+        """Its kernel pair is p2.  Through p3, with two of its projections as legs, every
+        cone factors, but cones from p2 twice (the third coordinate is free): no pullback."""
+        base = non_poset_base("cofinite x 1")[0]
+        p = "p1>p0:"
+        assert base.compose(p, "p2>p1:0") == base.compose(p, "p2>p1:1")
+        assert fincat.pullback(base, p, p) == PullbackSquare("p2", "p2>p1:0", "p2>p1:1")
+        assert not fincat.is_pullback(base, p, p, PullbackSquare("p3", "p3>p1:0", "p3>p1:1"))
+        square = {"f": p, "g": p, "apex": "p3", "toLeft": "p3>p1:0", "toRight": "p3>p1:1"}
+        raw = {"base": fincat.category_to_json(base), "coverings": {}, "pullbacks": [square]}
+        with pytest.raises(descent.SiteError, match=r"^pullbacks\[0\]: the square is not a pullback$"):
+            descent.site_from_json(raw)
+
+
 # -- oracles: the exhaustive checks, verbatim -----------------------------------------------
 
 
@@ -543,6 +807,38 @@ def oracle_check_axioms(c: FinCat):
                     continue
                 if c.table[(h, c.table[(g, f)])] != c.table[(hg, f)]:
                     raise NonAssociative((h, g, f))
+
+
+
+def oracle_generators_associate(c: FinCat):
+    """The greedy generating set by the pairwise closure, and Light's test on it triple by triple."""
+    table = c.table
+    src = {m: mor.src for m, mor in c.morphisms.items()}
+    tgt = {m: mor.tgt for m, mor in c.morphisms.items()}
+    reached = {c.identity[o] for o in c.objects}
+    closed, gens = [], []
+    for m in c.morphisms:
+        if m in reached:
+            continue
+        gens.append(m)
+        reached.add(m)
+        todo = [m]
+        while todo:  # keep ``closed`` closed under composition, one new arrow at a time
+            a = todo.pop()
+            closed.append(a)
+            for b in closed:
+                for ab in (table[(a, b)] if src[a] == tgt[b] else None,
+                           table[(b, a)] if src[b] == tgt[a] else None):
+                    if ab is not None and ab not in reached:
+                        reached.add(ab)
+                        todo.append(ab)
+    for g in gens:
+        for h in c._by_src[tgt[g]]:
+            hg = table[(h, g)]
+            for f in c._by_tgt[src[g]]:
+                if table[(h, table[(g, f)])] != table[(hg, f)]:
+                    return gens, False
+    return gens, True
 
 
 
