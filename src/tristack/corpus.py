@@ -118,7 +118,7 @@ def site_three_atoms() -> FiniteSite:
 
 def representable_presheaf(base: FinCat, x: str):
     """values/restrictions tables of Hom(-, x)."""
-    values = {a: sorted(base.hom(a, x)) for a in base.objects}
+    values = {a: base.hom(a, x) for a in base.objects}
     restrictions = {
         f: {e: base.compose(e, f) for e in values[base.tgt(f)]} for f in base.morphisms
     }

@@ -20,6 +20,7 @@ from .fincat import (
     Functor,
     PullbackSquare,
     Verdict,
+    _assignments,
     category_to_json,
     is_pullback,
     pullback,
@@ -92,7 +93,7 @@ class FiniteSite:
 
             def into(p, q, c_p, c_q):
                 sq, lp, lq = _pair_legs(self, p, q)
-                return _mediating(self, base, w, sq, lp, c_p, lq, c_q), lp, lq
+                return _mediating(base, w, sq, lp, c_p, lq, c_q), lp, lq
 
             self._triples[(i, j, k)] = (w, ((a, leg_i, leg_j), into(i, k, c_i, b), into(k, j, b, c_j)))
         return self._triples[(i, j, k)]
@@ -170,7 +171,7 @@ def jointly_covering_site(base: FinCat, union_covers: dict) -> FiniteSite:
     """
     coverings = {}
     for x in base.objects:
-        arrows = sorted(base.into_obj(x))
+        arrows = base.into_obj(x)
         fams = []
         for r in range(1, len(arrows) + 1):
             for combo in itertools.combinations(arrows, r):
@@ -228,8 +229,6 @@ def _pair_legs(site: FiniteSite, p: str, q: str):
     """Chosen overlap square for covering arrows p, q with legs in slot order."""
     a, b = sorted((p, q))
     sq = site.chosen_pullback(a, b)
-    if p == q:
-        return sq, sq.to_left, sq.to_right
     if p == a:
         return sq, sq.to_left, sq.to_right
     return sq, sq.to_right, sq.to_left
@@ -284,8 +283,7 @@ def _check_transition_typing(site, transport, d: DescentDatum) -> Verdict:
     return Verdict(True)
 
 
-def _mediating(site: FiniteSite, base: FinCat, w: str, sq: PullbackSquare,
-               leg_a: str, want_a: str, leg_b: str, want_b: str) -> str:
+def _mediating(base: FinCat, w: str, sq: PullbackSquare, leg_a: str, want_a: str, leg_b: str, want_b: str) -> str:
     found = None
     for m in base.hom(w, sq.apex):
         if base.compose(leg_a, m) == want_a and base.compose(leg_b, m) == want_b:
@@ -297,40 +295,9 @@ def _mediating(site: FiniteSite, base: FinCat, w: str, sq: PullbackSquare,
     return found
 
 
-def _assignments(width: int, choices, accept):
-    """Every assignment of ``width`` slots that ``accept`` passes, in product order.
-
-    ``choices(values)`` lists the candidates of the next slot after the
-    assigned prefix ``values``; ``accept(values)`` runs the constraints
-    whose last slot is the one just assigned.  One candidate iterator per
-    assigned slot sits on an explicit stack, so the depth costs no
-    recursion, a rejected prefix is never extended, and the survivors come
-    in the lexicographic order of the full product they were filtered from.
-    """
-    values, stack = [], []
-    while True:
-        if len(values) == width:
-            yield tuple(values)
-        else:
-            stack.append(iter(choices(values)))
-        while stack:  # next accepted candidate for the deepest slot that has one left
-            del values[len(stack) - 1:]
-            for v in stack[-1]:
-                values.append(v)
-                if accept(values):
-                    break
-                values.pop()
-            else:
-                stack.pop()
-                continue
-            break
-        else:
-            return
-
-
 def _isos(fib: FinCat, src: str, tgt: str) -> list:
     """The isomorphisms src -> tgt of a fiber, in id order."""
-    return [m for m in sorted(fib.hom(src, tgt)) if fib.is_iso(m)]
+    return [m for m in fib.hom(src, tgt) if fib.is_iso(m)]
 
 
 class _Covering:
@@ -495,7 +462,7 @@ class _Covering:
 
         def choices(values):
             iota = fam[len(values)]
-            return sorted(self.pieces[len(values)].hom(d1.objects[iota], d2.objects[iota]))
+            return self.pieces[len(values)].hom(d1.objects[iota], d2.objects[iota])
 
         def accept(values):
             fs = dict(zip(fam, values))
@@ -611,7 +578,7 @@ def stack_verdict(site: FiniteSite, transport: Transport) -> StackVerdict:
                 for e2 in sorted(fib_x.objects):
                     images = [
                         tuple(sorted((iota, transport.restrict_mor(iota, u)) for iota in fam))
-                        for u in sorted(fib_x.hom(e1, e2))
+                        for u in fib_x.hom(e1, e2)
                     ]
                     if len(set(images)) != len(images):
                         return StackVerdict("neither", (x, fam, e1, e2, "not faithful"))
@@ -677,9 +644,35 @@ def _given_squares(base: FinCat, entries) -> dict:
     return chosen
 
 
+def _given_coverings(base: FinCat, coverings) -> dict:
+    """The covering table of a site file, each entry checked to name an arrow.
+
+    Only the shape and the arrow ids are checked here: an arrow into the
+    wrong object breaks a site axiom, which ``validate_site`` reports.
+    """
+    if not isinstance(coverings, dict):
+        raise SiteError("coverings: expected an object")
+    for x, fams in coverings.items():
+        if not isinstance(fams, list):
+            raise SiteError(f"coverings.{x}: expected a list of families")
+        for n, fam in enumerate(fams):
+            if not isinstance(fam, list):
+                raise SiteError(f"coverings.{x}[{n}]: expected a list of arrows")
+            for k, iota in enumerate(fam):
+                if not isinstance(iota, str) or iota not in base.morphisms:
+                    raise SiteError(f"coverings.{x}[{n}][{k}]: {iota!r} is not an arrow")
+    return coverings
+
+
 def site_from_json(raw: dict) -> FiniteSite:
+    if not isinstance(raw, dict):
+        raise SiteError("expected an object")
+    for key in ("base", "coverings"):
+        if key not in raw:
+            raise SiteError(f"missing {key!r}")
     base = validate_category(raw["base"])
-    return FiniteSite(base, raw["coverings"], _given_squares(base, raw.get("pullbacks", [])))
+    coverings = _given_coverings(base, raw["coverings"])
+    return FiniteSite(base, coverings, _given_squares(base, raw.get("pullbacks", [])))
 
 
 def datum_from_json(raw: dict) -> DescentDatum:

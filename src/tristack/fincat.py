@@ -72,9 +72,11 @@ class FinCat:
         self.table = dict(compose_table)
         self._by_src = {}
         self._by_tgt = {}
+        self._hom = {}
         for m in self.morphisms.values():
             self._by_src.setdefault(m.src, []).append(m.id)
             self._by_tgt.setdefault(m.tgt, []).append(m.id)
+            self._hom.setdefault((m.src, m.tgt), []).append(m.id)
         self._iso_cache = {}
         if check:
             _check_axioms(self)
@@ -100,23 +102,18 @@ class FinCat:
         return self.tgt(f) == self.src(g)
 
     def hom(self, a: str, b: str) -> list[str]:
-        return [m for m in self._by_src.get(a, ()) if self.tgt(m) == b]
+        """The arrows a -> b, in id order (a fresh list)."""
+        return list(self._hom.get((a, b), ()))
 
     def into_obj(self, b: str) -> list[str]:
+        """The arrows into b, in id order (a fresh list)."""
         return list(self._by_tgt.get(b, ()))
 
     def inverse(self, m: str) -> str | None:
         if m not in self._iso_cache:
-            mor = self.morphisms[m]
-            inv = None
-            for c in self.hom(mor.tgt, mor.src):
-                if (
-                    self.compose(c, m) == self.identity[mor.src]
-                    and self.compose(m, c) == self.identity[mor.tgt]
-                ):
-                    inv = c
-                    break
-            self._iso_cache[m] = inv
+            a, b = self.src(m), self.tgt(m)
+            left_inverses = (c for c in self.hom(b, a) if self.compose(c, m) == self.identity[a])
+            self._iso_cache[m] = next((c for c in left_inverses if self.compose(m, c) == self.identity[b]), None)
         return self._iso_cache[m]
 
     def is_iso(self, m: str) -> bool:
@@ -409,67 +406,79 @@ def validate_functor(fun: Functor, cod: FinCat | None = None, dom: FinCat | None
     return Verdict(True)
 
 
+def _assignments(width: int, choices, accept):
+    """Every assignment of ``width`` slots that ``accept`` passes, in product order.
+
+    ``choices(values)`` lists the candidates of the next slot after the
+    assigned prefix ``values``; ``accept(values)`` runs the constraints
+    whose last slot is the one just assigned.  One candidate iterator per
+    assigned slot sits on an explicit stack, so the depth costs no
+    recursion, a rejected prefix is never extended, and the survivors come
+    in the lexicographic order of the full product they were filtered from.
+    """
+    values, stack = [], []
+    while True:
+        if len(values) == width:
+            yield tuple(values)
+        else:
+            stack.append(iter(choices(values)))
+        while stack:  # next accepted candidate for the deepest slot that has one left
+            del values[len(stack) - 1:]
+            for v in stack[-1]:
+                values.append(v)
+                if accept(values):
+                    break
+                values.pop()
+            else:
+                stack.pop()
+                continue
+            break
+        else:
+            return
+
+
 def functors(dom: FinCat, cod: FinCat, obj_choices: dict, mor_ok=None, injective=False):
     """Every functor dom -> cod, in lexicographic order of its assignments.
 
     The objects of ``dom`` are assigned in sorted order, each to the
     images ``obj_choices[o]`` in the order given; then its non-identity
-    arrows in sorted id order, each to the sorted arrows of its hom-set in
-    ``cod`` for which ``mor_ok(arrow, image)`` holds.  With ``injective``
-    no image is used twice.  Complete assignments that ``validate_functor``
-    accepts are yielded.  The search keeps one iterator of images per
-    assigned slot on an explicit stack, so its depth costs no recursion.
+    arrows in sorted id order, each to the arrows of its hom-set in
+    ``cod`` (id order) for which ``mor_ok(arrow, image)`` holds.  With
+    ``injective`` no image is used twice.  An object is assigned through
+    its identity, so every slot is an arrow, and each composite g∘f of
+    ``dom`` is checked once the last of g, f and g∘f is assigned: every
+    complete assignment is a functor.
     """
     objs = sorted(dom.objects)
-    # an object is assigned through its identity, so all slots are arrows
-    # and an object image is taken exactly when its identity is
     slots = [dom.identity[o] for o in objs]
     slots += sorted(m for m in dom.morphisms if not dom.is_identity(m))
-    # ``taken`` holds the images in use; it is read only when ``injective``
-    # keeps them distinct.  A slot's iterator resumes only after every
-    # deeper slot has released its image, so skipping ``taken`` lazily
-    # skips what it held when the iterator was made.
-    obj_map, mor_map, taken, stack = {}, {}, set(), []
-    # an arrow slot's candidates are built once per pair of endpoint images:
-    # the sorted hom-set, then the part of it ``mor_ok`` keeps for the slot
-    homs, kept = {}, {}
+    slot_of = {m: d for d, m in enumerate(slots)}
+    ends = [(slot_of[dom.identity[dom.src(m)]], slot_of[dom.identity[dom.tgt(m)]]) for m in slots]
+    composites_at = [[] for _ in slots]
+    for (g, f), gf in dom.table.items():
+        at = (slot_of[g], slot_of[f], slot_of[gf])
+        composites_at[max(at)].append(at)
 
-    def images(depth):
-        if depth < len(objs):
-            cands = [cod.identity[x] for x in obj_choices[objs[depth]]]
+    def choices(values):
+        d = len(values)
+        if d < len(objs):
+            cands = [cod.identity[x] for x in obj_choices[objs[d]]]
         else:
-            m = dom.morphisms[slots[depth]]
-            ends = (obj_map[m.src], obj_map[m.tgt])
-            cands = homs.get(ends)
-            if cands is None:
-                cands = homs[ends] = sorted(cod.hom(*ends))
+            a, b = ends[d]
+            cands = cod.hom(cod.src(values[a]), cod.src(values[b]))
             if mor_ok is not None:
-                key = (m.id, ends)
-                if key not in kept:
-                    kept[key] = [m2 for m2 in cands if mor_ok(m.id, m2)]
-                cands = kept[key]
-        return itertools.filterfalse(taken.__contains__, cands) if injective else iter(cands)
+                cands = [m2 for m2 in cands if mor_ok(slots[d], m2)]
+        if injective:
+            taken = set(values)
+            cands = [m2 for m2 in cands if m2 not in taken]
+        return cands
 
-    while True:
-        if len(stack) == len(slots):
-            cand = Functor(dom, cod, dict(obj_map), dict(mor_map))
-            if validate_functor(cand).ok:
-                yield cand
-        else:
-            stack.append(images(len(stack)))
-        while stack:  # next image for the deepest slot that has one left
-            depth = len(stack) - 1
-            taken.discard(mor_map.pop(slots[depth], None))
-            image = next(stack[-1], None)
-            if image is not None:
-                mor_map[slots[depth]] = image
-                taken.add(image)
-                if depth < len(objs):
-                    obj_map[objs[depth]] = cod.src(image)
-                break
-            stack.pop()
-        else:
-            return
+    def accept(values):
+        return all(cod.compose(values[g], values[f]) == values[gf] for g, f, gf in composites_at[len(values) - 1])
+
+    for values in _assignments(len(slots), choices, accept):
+        obj_map = {o: cod.src(values[d]) for d, o in enumerate(objs)}
+        yield Functor(dom, cod, obj_map, dict(zip(slots, values)))
 
 
 def functor_to_json(fun: Functor) -> dict:
@@ -506,11 +515,7 @@ def is_groupoid(c: FinCat) -> bool:
 
 def lifts(fun: Functor, f: str, y_prime: str) -> list[str]:
     """Morphisms of the domain over f with target y_prime, in id order."""
-    return sorted(
-        m
-        for m in fun.dom.into_obj(y_prime)
-        if fun.mor_map[m] == f
-    )
+    return [m for m in fun.dom.into_obj(y_prime) if fun.mor_map[m] == f]
 
 
 def is_cartesian(fun: Functor, f_prime: str) -> bool:
@@ -679,7 +684,7 @@ def slice_category(c: FinCat, x: str):
     """
     if x not in c.objects:
         raise UnknownObject(x)
-    objs = sorted(c.into_obj(x))
+    objs = c.into_obj(x)
     def tid(h, a, b):
         return f"{h}:{a}=>{b}"
     morphisms = []

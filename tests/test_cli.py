@@ -243,6 +243,51 @@ class TestSiteAndStack:
         assert "verdict: stack" in capsys.readouterr().out
 
 
+class TestMalformedCoverings:
+    """A covering table of the wrong shape, or naming no arrow, is malformed input, not a verdict."""
+
+    CASES = [
+        pytest.param({"X": "id_X"}, "coverings.X: expected a list of families", id="string"),
+        pytest.param({"X": ["id_X"]}, "coverings.X[0]: expected a list of arrows", id="flat"),
+        pytest.param({"X": [["nope"]]}, "coverings.X[0][0]: 'nope' is not an arrow", id="unknown-arrow"),
+        pytest.param({"X": [["id_X", 5]]}, "coverings.X[0][1]: 5 is not an arrow", id="number"),
+        pytest.param([["id_X"]], "coverings: expected an object", id="list"),
+        pytest.param(None, "missing 'coverings'", id="missing"),
+    ]
+
+    @pytest.mark.parametrize("coverings, message", CASES)
+    def test_exits_two_naming_the_field(self, tmp_path, capsys, coverings, message):
+        raw = descent.site_to_json(corpus.site_two_point_space())
+        if coverings is None:
+            del raw["coverings"]
+        else:
+            raw["coverings"] = coverings
+        site, stack = tmp_path / "site.json", tmp_path / "in.json"
+        site.write_text(json.dumps(raw))
+        stack.write_text(json.dumps({"site": raw, "fibered": {"kind": "slice", "object": "X"}}))
+        for argv in (["site-check", str(site)], ["stack-check", str(stack)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.err == ""
+            assert message in captured.out and "Traceback" not in captured.out
+
+    def test_site_not_an_object_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps({"site": [1], "fibered": {"kind": "slice", "object": "X"}}))
+        code = main(["stack-check", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert "site: expected an object" in captured.out
+
+    def test_arrow_into_the_wrong_object_stays_a_verdict(self, tmp_path, capsys):
+        raw = descent.site_to_json(corpus.site_two_point_space())
+        raw["coverings"]["X"].append(["id_u1"])
+        p = tmp_path / "site.json"
+        p.write_text(json.dumps(raw))
+        code, out = run(capsys, "site-check", str(p))
+        assert code == 1 and "covering arrow has wrong target" in out
+
+
 class TestGrothRoundtrip:
     def test_twisted_cocycle_file(self, tmp_path, capsys):
         p = corpus.cocycle_pseudofunctor("Z2", "Z2", {("g:s", "g:s"): "g:s"})
