@@ -22,11 +22,13 @@ from .fincat import (
     Verdict,
     _assignments,
     category_to_json,
+    factorization_table,
     is_pullback,
     pullback,
+    square_images,
     validate_category,
 )
-from .grothendieck import PseudoFunctor, default_cleavage, extract_pseudofunctor
+from .grothendieck import PseudoFunctor, extract_pseudofunctor
 
 
 class SiteError(ValueError):
@@ -59,6 +61,7 @@ class FiniteSite:
             x: sorted({_canonical_family(fam) for fam in fams}) for x, fams in coverings.items()
         }
         self._chosen = dict(pullback_choice or {})
+        self._tables = {}
         self._triples = {}
 
     def families(self, x: str):
@@ -82,7 +85,8 @@ class FiniteSite:
         It is (overlap of i and j) x (piece k) under the chosen pullbacks.
         Returns its apex and, for the pairs (i, j), (i, k), (k, j) in turn,
         the arrow from it into the pair's overlap together with the
-        pair's legs in slot order.
+        pair's legs in slot order.  Those arrows are looked up in the
+        factorization table of the pair's chosen square, built once.
         """
         if (i, j, k) not in self._triples:
             base = self.base
@@ -93,7 +97,16 @@ class FiniteSite:
 
             def into(p, q, c_p, c_q):
                 sq, lp, lq = _pair_legs(self, p, q)
-                return _mediating(base, w, sq, lp, c_p, lq, c_q), lp, lq
+                key = (p, q) if p <= q else (q, p)
+                if key not in self._tables:
+                    self._tables[key] = factorization_table(*square_images(base, sq.apex, sq.to_left, sq.to_right))
+                table = self._tables[key]
+                if table is None:
+                    raise MissingPullback(("non-unique mediating morphism", sq.apex))
+                m = table.get((c_p, c_q) if p <= q else (c_q, c_p))
+                if m is None:
+                    raise MissingPullback(("no mediating morphism", sq.apex))
+                return m, lp, lq
 
             self._triples[(i, j, k)] = (w, ((a, leg_i, leg_j), into(i, k, c_i, b), into(k, j, b, c_j)))
         return self._triples[(i, j, k)]
@@ -188,9 +201,7 @@ class Transport:
     """Restriction machinery of a fibered functor along a fixed cleavage."""
 
     def __init__(self, fun: Functor, cleavage: dict | None = None):
-        self.fun = fun
-        self.cleavage = cleavage if cleavage is not None else default_cleavage(fun)
-        self.psf: PseudoFunctor = extract_pseudofunctor(fun, self.cleavage)
+        self.psf: PseudoFunctor = extract_pseudofunctor(fun, cleavage)
 
     def fiber(self, x: str) -> FinCat:
         return self.psf.fibers[x]
@@ -281,18 +292,6 @@ def _check_transition_typing(site, transport, d: DescentDatum) -> Verdict:
         if not fib.is_iso(mor):
             return Verdict(False, "transition not an isomorphism", (j, i))
     return Verdict(True)
-
-
-def _mediating(base: FinCat, w: str, sq: PullbackSquare, leg_a: str, want_a: str, leg_b: str, want_b: str) -> str:
-    found = None
-    for m in base.hom(w, sq.apex):
-        if base.compose(leg_a, m) == want_a and base.compose(leg_b, m) == want_b:
-            if found is not None:
-                raise MissingPullback(("non-unique mediating morphism", sq.apex))
-            found = m
-    if found is None:
-        raise MissingPullback(("no mediating morphism", sq.apex))
-    return found
 
 
 def _isos(fib: FinCat, src: str, tgt: str) -> list:
@@ -576,14 +575,13 @@ def stack_verdict(site: FiniteSite, transport: Transport) -> StackVerdict:
             for e1 in sorted(fib_x.objects):
                 c1 = cov.comparison(e1)
                 for e2 in sorted(fib_x.objects):
-                    images = [
-                        tuple(sorted((iota, transport.restrict_mor(iota, u)) for iota in fam))
-                        for u in fib_x.hom(e1, e2)
-                    ]
-                    if len(set(images)) != len(images):
+                    homs = fib_x.hom(e1, e2)
+                    table = factorization_table(
+                        homs, [tuple(transport.restrict_mor(iota, u) for iota in fam) for u in homs]
+                    )
+                    if table is None:
                         return StackVerdict("neither", (x, fam, e1, e2, "not faithful"))
-                    keyed = {tuple(sorted(m.items())) for m in cov.morphisms(c1, cov.comparison(e2))}
-                    if set(images) != keyed:
+                    if table.keys() != {tuple(m.values()) for m in cov.morphisms(c1, cov.comparison(e2))}:
                         return StackVerdict("neither", (x, fam, e1, e2, "not full"))
     for cov in coverings:
         for datum in cov.descent_data():

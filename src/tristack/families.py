@@ -1046,7 +1046,38 @@ def family_to_json(fam: PLFamily) -> dict:
     }
 
 
+def _records(raw: dict, key: str, fields, path: str = "") -> list:
+    """``raw[key]`` checked to be a list of objects that each have ``fields``;
+    the FamilyError names the first entry or field that is not there."""
+    path += key
+    if key not in raw:
+        raise FamilyError(f"missing {path!r}")
+    items = raw[key]
+    if not isinstance(items, list):
+        raise FamilyError(f"{path}: expected a list")
+    for n, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise FamilyError(f"{path}[{n}]: expected an object")
+        for field in fields:
+            if field not in item:
+                raise FamilyError(f"{path}[{n}]: missing {field!r}")
+    return items
+
+
 def family_from_json(raw: dict) -> PLFamily:
+    try:
+        return _family_from_records(raw)
+    except (KeyError, TypeError, FamilyError):
+        # reading checks no shape up front (that costs a tenth of a large
+        # family's load); once it fails, name the first missing key or
+        # entry of the wrong kind, if there is one, instead of its error
+        _records(raw, "vertices", ("id", "lengths"))
+        for n, e in enumerate(_records(raw, "edges", ("id", "from", "to", "chart"))):
+            _records(e, "chart", ("t", "lengths"), f"edges[{n}].")
+        raise
+
+
+def _family_from_records(raw: dict) -> PLFamily:
     read = trigeo.RationalReader(FamilyError)
     vertices = [v["id"] for v in raw["vertices"]]
     edges = [Edge(e["id"], e["from"], e["to"]) for e in raw["edges"]]

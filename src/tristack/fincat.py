@@ -253,9 +253,14 @@ def validate_category(raw) -> FinCat:
     if isinstance(raw, FinCat):
         return FinCat(raw.objects, raw.morphisms.values(), raw.identity, raw.table)
     if isinstance(raw, dict):
+        for key in ("objects", "morphisms", "identities", "compose"):
+            if key not in raw:
+                raise CategoryError(f"missing {key!r}")
         morphisms = [Morphism(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]]
         table = {(g, f): gf for g, f, gf in raw["compose"]}
         return FinCat(raw["objects"], morphisms, raw["identities"], table)
+    if not isinstance(raw, tuple):
+        raise CategoryError("expected an object")
     objects, morphisms, identity, table = raw
     morphisms = [m if isinstance(m, Morphism) else Morphism(*m) for m in morphisms]
     return FinCat(objects, morphisms, identity, table)
@@ -518,30 +523,49 @@ def lifts(fun: Functor, f: str, y_prime: str) -> list[str]:
     return [m for m in fun.dom.into_obj(y_prime) if fun.mor_map[m] == f]
 
 
+def factorization_table(arrows: list, images) -> dict | None:
+    """The factorization table ``{image: arrow}`` of a candidate universal arrow.
+
+    ``arrows`` are the arrows into the candidate's source and ``images``
+    yields, in their order, the cone each induces; None when two induce one.
+    The candidate is universal exactly when the keys are the cones it must factor.
+    """
+    table = dict(zip(images, arrows))
+    return table if len(table) == len(arrows) else None
+
+
+def _universal(arrows: list, images, cones: set) -> bool:
+    # every image is a cone, so unequal counts reject before any table is built
+    if len(arrows) != len(cones):
+        return False
+    table = factorization_table(arrows, images)
+    return table is not None and table.keys() == cones
+
+
+def lift_images(fun: Functor, f_prime: str):
+    """The arrows h' into the source of f' and, lazily, their images (f'∘h', F(h'))."""
+    d = fun.dom
+    into = d._by_tgt[d.morphisms[f_prime].src]
+    return into, ((d.table[(f_prime, h)], fun.mor_map[h]) for h in into)
+
+
 def is_cartesian(fun: Functor, f_prime: str) -> bool:
     """Unique-factorization test for a single morphism of the domain.
 
     For every g' into the same target and every base morphism h with
     F(f')∘h = F(g'), exactly one lift h' of h must satisfy f'∘h' = g'.
+    F(f'∘h') = F(f')∘F(h') makes each image (f'∘h', F(h')) such a pair.
     """
-    d, c = fun.dom, fun.cod
-    fp = d.morphisms[f_prime]
-    f = fun.mor_map[f_prime]
-    for g_prime in d.into_obj(fp.tgt):
-        g = fun.mor_map[g_prime]
-        z, z_prime = c.src(g), d.src(g_prime)
-        for h in c.hom(z, c.src(f)):
-            if c.compose(f, h) != g:
-                continue
-            count = 0
-            for h_prime in d.hom(z_prime, fp.src):
-                if fun.mor_map[h_prime] == h and d.compose(f_prime, h_prime) == g_prime:
-                    count += 1
-                    if count > 1:
-                        return False
-            if count != 1:
-                return False
-    return True
+    d, c, mor_map = fun.dom, fun.cod, fun.mor_map
+    f = mor_map[f_prime]
+    x = c.morphisms[f].src
+    cones = {
+        (g_prime, h)
+        for g_prime in d._by_tgt[d.morphisms[f_prime].tgt]
+        for h in c._hom.get((c.morphisms[mor_map[g_prime]].src, x), ())
+        if c.table[(f, h)] == mor_map[g_prime]
+    }
+    return _universal(*lift_images(fun, f_prime), cones)
 
 
 @dataclass(frozen=True)
@@ -774,25 +798,20 @@ class PullbackSquare:
 
 def _cones(c: FinCat, f: str, g: str) -> list:
     """Every commuting cone (apex, left, right) over the cospan (f, g)."""
+    hom, table, mors = c._hom, c.table, c.morphisms
     return [
         (p, left, right)
         for p in c.objects
-        for left in c.hom(p, c.src(f))
-        for right in c.hom(p, c.src(g))
-        if c.compose(f, left) == c.compose(g, right)
+        for left in hom.get((p, mors[f].src), ())
+        for right in hom.get((p, mors[g].src), ())
+        if table[(f, left)] == table[(g, right)]
     ]
 
 
-def _factors_uniquely(c: FinCat, p: str, left: str, right: str, cones) -> bool:
-    """Whether every cone factors through (p, left, right) by exactly one arrow."""
-    for w, l2, r2 in cones:
-        count = 0
-        for m in c.hom(w, p):
-            if c.compose(left, m) == l2 and c.compose(right, m) == r2:
-                count += 1
-        if count != 1:
-            return False
-    return True
+def square_images(c: FinCat, apex: str, leg_a: str, leg_b: str):
+    """The arrows m into a square's apex and, lazily, their images (leg_a∘m, leg_b∘m)."""
+    into = c._by_tgt[apex]
+    return into, ((c.table[(leg_a, m)], c.table[(leg_b, m)]) for m in into)
 
 
 def is_pullback(c: FinCat, f: str, g: str, sq: PullbackSquare) -> bool:
@@ -810,7 +829,7 @@ def is_pullback(c: FinCat, f: str, g: str, sq: PullbackSquare) -> bool:
         return False
     if c.compose(f, left) != c.compose(g, right):
         return False
-    return _factors_uniquely(c, p, left, right, _cones(c, f, g))
+    return _universal(*square_images(c, p, left, right), {(l2, r2) for _, l2, r2 in _cones(c, f, g)})
 
 
 def pullback(c: FinCat, f: str, g: str) -> PullbackSquare | None:
@@ -824,8 +843,9 @@ def pullback(c: FinCat, f: str, g: str) -> PullbackSquare | None:
     if c.tgt(f) != c.tgt(g):
         raise IllTypedComposite((f, g))
     cones = _cones(c, f, g)
+    cone_legs = {(left, right) for _, left, right in cones}
     for p, left, right in sorted(cones):
-        if _factors_uniquely(c, p, left, right, cones):
+        if _universal(*square_images(c, p, left, right), cone_legs):
             return PullbackSquare(p, left, right)
     return None
 

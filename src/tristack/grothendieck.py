@@ -18,15 +18,18 @@ from .fincat import (
     Functor,
     Morphism,
     Verdict,
+    _lift_problems,
     categories_isomorphic,
     category_to_json,
     compose_functors,
+    factorization_table,
     fiber,
     functor_from_json,
     functor_to_json,
     identity_functor,
     is_cartesian,
     is_fibered,
+    lift_images,
     validate_category,
     validate_functor,
 )
@@ -277,30 +280,9 @@ def check_cleavage(fun: Functor, cleavage: dict):
             raise InvalidCleavage((f, s_prime))
         if not is_cartesian(fun, lift):
             raise InvalidCleavage((f, s_prime))
-    for f, s_prime in _cleavage_domain(fun):
-        if (f, s_prime) not in cleavage:
-            raise InvalidCleavage((f, s_prime))
-
-
-def _cleavage_domain(fun: Functor):
-    for f in fun.cod.morphisms:
-        for o in fun.dom.objects:
-            if fun.obj_map[o] == fun.cod.tgt(f):
-                yield f, o
-
-
-def _unique_factor(fun: Functor, through: str, over: str, target_mor: str) -> str:
-    """The unique h' over ``over`` with through∘h' = target_mor."""
-    d = fun.dom
-    found = None
-    for h in d.hom(d.src(target_mor), d.src(through)):
-        if fun.mor_map[h] == over and d.compose(through, h) == target_mor:
-            if found is not None:
-                raise RuntimeError("internal: factorization not unique through a cartesian lift")
-            found = h
-    if found is None:
-        raise RuntimeError("internal: no factorization through a cartesian lift")
-    return found
+    for problem in _lift_problems(fun):
+        if problem not in cleavage:
+            raise InvalidCleavage(problem)
 
 
 def extract_pseudofunctor(fun: Functor, cleavage: dict | None = None) -> PseudoFunctor:
@@ -309,7 +291,8 @@ def extract_pseudofunctor(fun: Functor, cleavage: dict | None = None) -> PseudoF
     Fibers are the literal fibers; each pullback functor sends an object
     over S to the source of its chosen cartesian lift and factors fiber
     morphisms uniquely through the lifts; the unit and composition
-    isomorphisms are the induced unique mediating fiber morphisms.
+    isomorphisms are the induced unique mediating fiber morphisms.  Each
+    factorization is looked up in the factorization table of its lift.
     """
     if cleavage is None:
         cleavage = default_cleavage(fun)
@@ -317,6 +300,7 @@ def extract_pseudofunctor(fun: Functor, cleavage: dict | None = None) -> PseudoF
         check_cleavage(fun, cleavage)
     base = fun.cod
     fibers = {S: fiber(fun, S) for S in base.objects}
+    through = {key: factorization_table(*lift_images(fun, lift)) for key, lift in cleavage.items()}
     pullbacks = {}
     for f in sorted(base.morphisms):
         T, S = base.src(f), base.tgt(f)
@@ -325,8 +309,7 @@ def extract_pseudofunctor(fun: Functor, cleavage: dict | None = None) -> PseudoF
         mor_map = {}
         for u in fibers[S].morphisms:
             s1, s2 = fibers[S].src(u), fibers[S].tgt(u)
-            target = fun.dom.compose(u, cleavage[(f, s1)])
-            mor_map[u] = _unique_factor(fun, cleavage[(f, s2)], id_t, target)
+            mor_map[u] = through[(f, s2)][(fun.dom.compose(u, cleavage[(f, s1)]), id_t)]
         pullbacks[f] = Functor(fibers[S], fibers[T], obj_map, mor_map)
 
     epsilon = {
@@ -343,7 +326,7 @@ def extract_pseudofunctor(fun: Functor, cleavage: dict | None = None) -> PseudoF
             comp = {}
             for s in fibers[base.tgt(g)].objects:
                 via_pair = fun.dom.compose(cleavage[(g, s)], cleavage[(f, pullbacks[g].obj_map[s])])
-                comp[s] = _unique_factor(fun, cleavage[(gf, s)], base.identity[base.src(f)], via_pair)
+                comp[s] = through[(gf, s)][(via_pair, base.identity[base.src(f)])]
             alpha[(f, g)] = comp
     return PseudoFunctor(base, fibers, pullbacks, epsilon, alpha)
 

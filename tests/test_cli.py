@@ -391,6 +391,63 @@ class TestInputContract:
         code, out = run(capsys, "coarse-check", "perimeter", "--corpus-size", size)
         assert code == 2 and "--corpus-size must be >= 1" in out
 
+    def assert_malformed(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.rstrip().endswith(message)
+        assert "Traceback" not in captured.out + captured.err and captured.err == ""
+
+    @staticmethod
+    def family_breakages():
+        def vertex_without_id(raw):
+            del raw["vertices"][0]["id"]
+
+        def edge_without_chart(raw):
+            del raw["edges"][0]["chart"]
+
+        def point_without_time(raw):
+            del raw["edges"][0]["chart"][1]["t"]
+
+        return [
+            (vertex_without_id, "vertices[0]: missing 'id'"),
+            (edge_without_chart, "edges[0]: missing 'chart'"),
+            (point_without_time, "edges[0].chart[1]: missing 't'"),
+            (lambda raw: raw.pop("edges"), "missing 'edges'"),
+            (lambda raw: raw.update(vertices="x"), "vertices: expected a list"),
+            (lambda raw: raw["vertices"].__setitem__(0, 5), "vertices[0]: expected an object"),
+            (lambda raw: raw["edges"][0].update(chart={}), "edges[0].chart: expected a list"),
+        ]
+
+    @pytest.mark.parametrize("command", ["orientable", "family-iso", "coarse-check"])
+    def test_family_fields_are_named(self, tmp_path, capsys, command):
+        for breakage, message in self.family_breakages():
+            raw = families.family_to_json(families.fixture_remark25()[0])
+            breakage(raw)
+            p = tmp_path / "f.json"
+            p.write_text(json.dumps(raw))
+            argv = {"orientable": [str(p)], "family-iso": [str(p), str(p)],
+                    "coarse-check": ["perimeter", "--families", str(p)]}[command]
+            self.assert_malformed(capsys, [command, *argv], f"{p}: {message}")
+
+    @pytest.mark.parametrize("broken, message", [
+        (lambda cat: {k: v for k, v in cat.items() if k != "compose"}, "missing 'compose'"),
+        (lambda cat: {k: v for k, v in cat.items() if k != "objects"}, "missing 'objects'"),
+        (lambda cat: 5, "expected an object"),
+        (lambda cat: [cat["objects"], cat["morphisms"], cat["identities"], cat["compose"]], "expected an object"),
+    ], ids=["no-compose", "no-objects", "number", "list"])
+    def test_category_fields_are_named(self, tmp_path, capsys, broken, message):
+        p = tmp_path / "in.json"
+        site = descent.site_to_json(corpus.site_two_point_space())
+        p.write_text(json.dumps({**site, "base": broken(site["base"])}))
+        self.assert_malformed(capsys, ["site-check", str(p)], f"{p}: {message}")
+        psf = grothendieck.pseudofunctor_to_json(corpus.cocycle_pseudofunctor("Z2", "Z2", {}))
+        p.write_text(json.dumps({**psf, "base": broken(psf["base"])}))
+        self.assert_malformed(capsys, ["groth-roundtrip", str(p)], f"{p}: {message}")
+        fibers = {S: broken(cat) for S, cat in psf["fibers"].items()}
+        p.write_text(json.dumps({**psf, "fibers": fibers}))
+        self.assert_malformed(capsys, ["groth-roundtrip", str(p)], f"{p}: {message}")
+
 
 class TestPlotData:
     def test_csv_header_and_regions(self, capsys):

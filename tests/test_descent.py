@@ -1,5 +1,6 @@
 import pytest
 
+from tristack import grothendieck
 from tristack.corpus import (
     elements_fibration,
     identity_endofunctor,
@@ -25,8 +26,14 @@ from tristack.descent import (
     stack_verdict,
     validate_site,
 )
-from tristack.fincat import PullbackSquare, category_to_json, slice_category
-from tristack.grothendieck import strict_pseudofunctor, total_category
+from tristack.fincat import PullbackSquare, category_to_json, interval_category, is_cartesian, lifts, slice_category
+from tristack.grothendieck import (
+    InvalidCleavage,
+    default_cleavage,
+    extract_pseudofunctor,
+    strict_pseudofunctor,
+    total_category,
+)
 
 
 def slice_transport(site):
@@ -361,6 +368,41 @@ class TestCleavageIndependence:
     def test_stack_verdict_survives_cleavage_change(self):
         site = site_two_point_space()
         assert stack_verdict(site, self.twisted_transport(site)).status == "stack"
+
+
+class TestTransportCleavage:
+    """A transport proves its cleavage cartesian once: the least cleavage through
+    ``is_fibered``, which picks only cartesian lifts; a given one through ``check_cleavage``."""
+
+    def interval_bundles(self, site):
+        fibers = {x: interval_category() for x in site.base.objects}
+        pullbacks = {m: identity_endofunctor(fibers[site.base.src(m)]) for m in site.base.morphisms}
+        return total_category(strict_pseudofunctor(site.base, fibers, pullbacks))[1]
+
+    def counted_checks(self, monkeypatch):
+        calls = []
+        check = grothendieck.check_cleavage
+        monkeypatch.setattr(grothendieck, "check_cleavage", lambda *args: calls.append(args) or check(*args))
+        return calls
+
+    def test_least_cleavage_is_not_checked_again(self, monkeypatch):
+        calls = self.counted_checks(monkeypatch)
+        site = site_two_point_space()
+        for proj in (self.interval_bundles(site), slice_category(site.base, "X")[1]):
+            tr = Transport(proj)
+            assert tr.psf == extract_pseudofunctor(proj, default_cleavage(proj))
+        assert len(calls) == 2  # the two explicit extractions above, none from Transport
+
+    def test_given_cleavage_with_a_lift_that_is_not_cartesian(self, monkeypatch):
+        calls = self.counted_checks(monkeypatch)
+        proj = self.interval_bundles(site_two_point_space())
+        cleavage = default_cleavage(proj)
+        key, lift = next(
+            (key, m) for key in sorted(cleavage) for m in lifts(proj, *key) if not is_cartesian(proj, m)
+        )
+        with pytest.raises(InvalidCleavage) as err:
+            Transport(proj, {**cleavage, key: lift})
+        assert err.value.args == (key,) and len(calls) == 1
 
 
 class TestDatumCompletion:
