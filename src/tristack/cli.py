@@ -7,6 +7,11 @@ branch on mathematical outcomes), 2 for parse or validation problems
 with the inputs, 3 for an internal error (a crash is never a verdict).
 ``--json`` writes a machine report whose content depends only on the
 subcommand arguments, never on the report path.
+
+Each subcommand imports the layers it calls, so a process pays start-up
+only for its own half: ``classify`` loads ``trigeo`` alone, the family
+subcommands never load the category modules, and ``descent-glue`` loads
+no category module.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-
-from . import descent, families, fincat, grothendieck, torsor, trigeo
 
 
 class InputError(Exception):
@@ -41,6 +44,8 @@ def _load_json(path):
 
 
 def cmd_classify(args):
+    from . import trigeo
+
     # 'p/q' or integer strings only; decimal notation would smuggle floats in
     triple = tuple(trigeo.rational_from_text(v, "length", InputError) for v in (args.x, args.y, args.z))
     if not trigeo.in_M(triple):
@@ -65,10 +70,13 @@ def cmd_classify(args):
 
 def _site_axioms(site):
     """The verdict on T1-T3; a pullback that T2 needs and the base lacks fails T2."""
+    from . import descent
+    from .records import Verdict
+
     try:
         return descent.validate_site(site)
     except descent.MissingPullback as err:
-        return fincat.Verdict(False, "T2 fails: no pullback", err.args[0])
+        return Verdict(False, "T2 fails: no pullback", err.args[0])
 
 
 def cmd_site_check(args):
@@ -84,6 +92,8 @@ def cmd_site_check(args):
 
 
 def _site_from_file(path):
+    from . import descent
+
     raw = _load_json(path)
     try:
         return descent.site_from_json(raw)
@@ -92,6 +102,8 @@ def _site_from_file(path):
 
 
 def _transport_from_descriptor(site, desc, path):
+    from . import descent, fincat, grothendieck
+
     if not isinstance(desc, dict):
         raise InputError(f"{path}: fibered: expected a JSON object, got {type(desc).__name__}")
     kind = desc.get("kind")
@@ -110,11 +122,39 @@ def _transport_from_descriptor(site, desc, path):
     except InputError:
         raise
     except Exception as err:
+        _check_descriptor_shape(site.base, desc, kind, path)
         raise InputError(f"{path}: fibered category descriptor invalid: {err}")
     raise InputError(f"{path}: unknown fibered kind {kind!r}")
 
 
+_DESCRIPTOR_FIELDS = {"slice": {"object": str}, "elements": {"values": dict, "restrictions": dict},
+                      "total": {"pseudofunctor": dict}}
+
+
+def _check_descriptor_shape(base, desc, kind, path):
+    """Name the first missing or ill-kinded entry of a descriptor that failed to load."""
+    from .records import json_field
+
+    def bad(message):
+        return InputError(f"{path}: {message}")
+
+    for key, kind_of in _DESCRIPTOR_FIELDS[kind].items():
+        json_field(desc, key, kind_of, bad, "fibered")
+    if kind == "elements":
+        values, restrictions = desc["values"], desc["restrictions"]
+        for x in base.objects:
+            if not all(isinstance(e, str) for e in json_field(values, x, list, bad, "fibered.values")):
+                raise bad(f"fibered.values.{x}: expected a list of element ids")
+        for f in sorted(base.morphisms):
+            table = json_field(restrictions, f, dict, bad, "fibered.restrictions")
+            for e in values[base.tgt(f)]:
+                if e not in table:
+                    raise bad(f"fibered.restrictions.{f}: missing {e!r}")
+
+
 def cmd_stack_check(args):
+    from . import descent
+
     raw = _load_json(args.input)
     if "site" not in raw or "fibered" not in raw:
         raise InputError(f"{args.input}: expected keys 'site' and 'fibered'")
@@ -135,6 +175,8 @@ def cmd_stack_check(args):
 
 
 def cmd_groth_roundtrip(args):
+    from . import grothendieck
+
     raw = _load_json(args.pseudofunctor)
     try:
         p = grothendieck.pseudofunctor_from_json(raw)
@@ -167,6 +209,8 @@ def cmd_groth_roundtrip(args):
 
 
 def cmd_descent_glue(args):
+    from . import torsor
+
     raw = _load_json(args.glue)
     try:
         data = torsor.glue_data_from_json(raw)
@@ -197,6 +241,8 @@ def cmd_descent_glue(args):
 
 
 def _family_from_file(path):
+    from . import families
+
     try:
         return families.family_from_json(_load_json(path))
     except InputError:
@@ -206,6 +252,8 @@ def _family_from_file(path):
 
 
 def cmd_family_iso(args):
+    from . import families
+
     f = _family_from_file(args.first)
     g = _family_from_file(args.second)
     try:
@@ -248,6 +296,8 @@ def _obstruction_dict(ob):
 
 
 def cmd_orientable(args):
+    from . import families
+
     fam = _family_from_file(args.family)
     o = families.is_orientable(fam)
     if o.orientable:
@@ -267,6 +317,8 @@ def cmd_orientable(args):
 
 
 def cmd_coarse_check(args):
+    from . import families
+
     if args.invariant not in families.INVARIANTS:
         raise InputError(
             f"unknown invariant {args.invariant!r}; choose from {sorted(families.INVARIANTS)}"
@@ -288,6 +340,8 @@ def cmd_coarse_check(args):
 
 
 def cmd_demo_remark25(args):
+    from . import families
+
     f, g = families.fixture_remark25()
     same = families.plmaps_equal(families.classify_to_N(f), families.classify_to_N(g))
     r = families.are_isomorphic(f, g)
@@ -306,6 +360,8 @@ def cmd_demo_remark25(args):
 
 
 def cmd_demo_mobius(args):
+    from . import families
+
     fam = families.fixture_mobius()
     o = families.is_orientable(fam)
     n = families.classify_to_N(fam)
@@ -331,6 +387,8 @@ def cmd_demo_mobius(args):
 
 
 def cmd_plot_data(args):
+    from . import trigeo
+
     d = args.denominator
     if d < 1:
         raise InputError("--denominator must be >= 1")

@@ -11,7 +11,6 @@ a germ only sees the basepoint's side of each incident edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .families import (
@@ -32,7 +31,7 @@ from .families import (
     twist_family,
     validate_family,
 )
-from .fincat import Verdict
+from .records import Record, Verdict, json_field, setfield
 from .trigeo import PERMS, RationalReader, TriangleLengths, act, compose, inverse
 
 
@@ -55,12 +54,14 @@ class IllTypedMap(DeformError):
 MAX_GERM_DEPTH = 2
 
 
-@dataclass(frozen=True)
-class Deformation:
-    triangle: TriangleLengths
-    family: PLFamily
-    basepoint: str
-    marking: str  # Perm identifying the triangle with the basepoint fiber
+class Deformation(Record):
+    __slots__ = ("triangle", "family", "basepoint", "marking")
+
+    def __init__(self, triangle: TriangleLengths, family: PLFamily, basepoint: str, marking: str):
+        setfield(self, "triangle", triangle)
+        setfield(self, "family", family)
+        setfield(self, "basepoint", basepoint)
+        setfield(self, "marking", marking)  # Perm identifying the triangle with the basepoint fiber
 
 
 def validate_deformation(d: Deformation) -> Verdict:
@@ -143,11 +144,13 @@ def restrict_deformation(d: Deformation, depth: int = 1) -> Deformation:
     return germ_normal_form(d, depth)
 
 
-@dataclass(frozen=True)
-class GermEquivalence:
-    found: bool
-    center: str | None = None   # induced permutation at the basepoint
-    legs: dict | None = None    # germ edge -> (tau, radius exponents)
+class GermEquivalence(Record):
+    __slots__ = ("found", "center", "legs")
+
+    def __init__(self, found: bool, center: str | None = None, legs: dict | None = None):
+        setfield(self, "found", found)
+        setfield(self, "center", center)  # induced permutation at the basepoint
+        setfield(self, "legs", legs)  # germ edge -> (tau, radius exponents)
 
     def __bool__(self):
         return self.found
@@ -307,5 +310,10 @@ def deformation_to_json(d: Deformation) -> dict:
 
 def deformation_from_json(raw: dict) -> Deformation:
     fam = family_from_json(raw)
-    t = RationalReader(FamilyError).lengths(raw["triangle"], "triangle")
-    return deformation(t, fam, raw["basepoint"], raw.get("marking", "e"))
+    try:
+        t = RationalReader(FamilyError).lengths(raw["triangle"], "triangle")
+        return deformation(t, fam, raw["basepoint"], raw.get("marking", "e"))
+    except KeyError:
+        json_field(raw, "triangle", list, FamilyError)
+        json_field(raw, "basepoint", str, FamilyError)
+        raise

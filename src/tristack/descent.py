@@ -13,7 +13,6 @@ data only up to canonical isomorphism, so both choices are pinned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .fincat import (
     FinCat,
@@ -29,6 +28,7 @@ from .fincat import (
     validate_category,
 )
 from .grothendieck import PseudoFunctor, extract_pseudofunctor
+from .records import Record, setfield
 
 
 class SiteError(ValueError):
@@ -218,8 +218,7 @@ class Transport:
         return self.psf.alpha[(f, g)][s]
 
 
-@dataclass(frozen=True)
-class DescentDatum:
+class DescentDatum(Record):
     """Objects over the pieces of a covering plus transition isomorphisms.
 
     ``transitions[(j, i)]`` is the morphism (restriction of the i-th
@@ -230,10 +229,13 @@ class DescentDatum:
     the inverse).
     """
 
-    x: str
-    family: tuple
-    objects: dict
-    transitions: dict
+    __slots__ = ("x", "family", "objects", "transitions")
+
+    def __init__(self, x: str, family: tuple, objects: dict, transitions: dict):
+        setfield(self, "x", x)
+        setfield(self, "family", family)
+        setfield(self, "objects", objects)
+        setfield(self, "transitions", transitions)
 
 
 def _pair_legs(site: FiniteSite, p: str, q: str):
@@ -537,10 +539,12 @@ def _all_descent_data(site, transport, x, family):
     return _Covering(site, transport, x, sorted(family)).descent_data()
 
 
-@dataclass(frozen=True)
-class StackVerdict:
-    status: str  # stack | prestack-only | neither
-    witness: tuple | None = None
+class StackVerdict(Record):
+    __slots__ = ("status", "witness")
+
+    def __init__(self, status: str, witness: tuple | None = None):
+        setfield(self, "status", status)  # stack | prestack-only | neither
+        setfield(self, "witness", witness)
 
     def __bool__(self):
         return self.status == "stack"

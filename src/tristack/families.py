@@ -25,11 +25,11 @@ import itertools
 import json
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 
 from . import trigeo
+from .records import Record, json_records, setfield
 from .trigeo import (
     PERMS,
     NotInM,
@@ -71,11 +71,13 @@ class IllTypedMap(FamilyError):
 # -- base graphs ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    frm: str
-    to: str
+class Edge(Record):
+    __slots__ = ("id", "frm", "to")
+
+    def __init__(self, id: str, frm: str, to: str):
+        setfield(self, "id", id)
+        setfield(self, "frm", frm)
+        setfield(self, "to", to)
 
 
 class BaseGraph:
@@ -253,13 +255,15 @@ def chart_reparam(chart, a: Fraction, b: Fraction):
 # -- families ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PLFamily:
-    base: BaseGraph
-    vertex_lengths: dict          # vertex -> TriangleLengths
-    charts: dict                  # edge id -> chart
-    glue_from: dict               # edge id -> Perm
-    glue_to: dict                 # edge id -> Perm
+class PLFamily(Record):
+    __slots__ = ("base", "vertex_lengths", "charts", "glue_from", "glue_to")
+
+    def __init__(self, base: BaseGraph, vertex_lengths: dict, charts: dict, glue_from: dict, glue_to: dict):
+        setfield(self, "base", base)
+        setfield(self, "vertex_lengths", vertex_lengths)  # vertex -> TriangleLengths
+        setfield(self, "charts", charts)  # edge id -> chart
+        setfield(self, "glue_from", glue_from)  # edge id -> Perm
+        setfield(self, "glue_to", glue_to)  # edge id -> Perm
 
     def glue(self, edge_id, end):
         return self.glue_from[edge_id] if end == "from" else self.glue_to[edge_id]
@@ -364,12 +368,14 @@ def canonical_point(g: BaseGraph, e: str, t: Fraction):
     return ("edge", e, t)
 
 
-@dataclass(frozen=True)
-class GraphMap:
-    dom: BaseGraph
-    cod: BaseGraph
-    vertex_image: dict
-    edge_image: dict
+class GraphMap(Record):
+    __slots__ = ("dom", "cod", "vertex_image", "edge_image")
+
+    def __init__(self, dom: BaseGraph, cod: BaseGraph, vertex_image: dict, edge_image: dict):
+        setfield(self, "dom", dom)
+        setfield(self, "cod", cod)
+        setfield(self, "vertex_image", vertex_image)
+        setfield(self, "edge_image", edge_image)
 
 
 def validate_graph_map(m: GraphMap) -> GraphMap:
@@ -500,8 +506,7 @@ def pullback_family(m: GraphMap, fam: PLFamily) -> PLFamily:
 # -- PL maps out of the base ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PLMap:
+class PLMap(Record):
     """Piecewise-linear map on a graph base with exact samples.
 
     ``samples[e]`` is a tuple of (time, value tuple) pairs; values at
@@ -509,9 +514,12 @@ class PLMap:
     vertex_values).
     """
 
-    base: BaseGraph
-    vertex_values: dict
-    samples: dict
+    __slots__ = ("base", "vertex_values", "samples")
+
+    def __init__(self, base: BaseGraph, vertex_values: dict, samples: dict):
+        setfield(self, "base", base)
+        setfield(self, "vertex_values", vertex_values)
+        setfield(self, "samples", samples)
 
     def eval_edge(self, e, t):
         return path_value(self.samples[e], t)
@@ -595,13 +603,17 @@ def classify_to_N(fam: PLFamily) -> PLMap:
 # -- orientability ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Orientation:
-    orientable: bool
-    vertex_gauge: dict | None = None        # vertex -> Perm
-    edge_recharts: dict | None = None       # edge -> Perm
-    obstruction_cycle: tuple | None = None  # ((edge, direction), ...)
-    monodromy: str | None = None
+class Orientation(Record):
+    __slots__ = ("orientable", "vertex_gauge", "edge_recharts", "obstruction_cycle", "monodromy")
+
+    def __init__(self, orientable: bool, vertex_gauge: dict | None = None,
+                 edge_recharts: dict | None = None, obstruction_cycle: tuple | None = None,
+                 monodromy: str | None = None):
+        setfield(self, "orientable", orientable)
+        setfield(self, "vertex_gauge", vertex_gauge)  # vertex -> Perm
+        setfield(self, "edge_recharts", edge_recharts)  # edge -> Perm
+        setfield(self, "obstruction_cycle", obstruction_cycle)  # ((edge, direction), ...)
+        setfield(self, "monodromy", monodromy)
 
     def __bool__(self):
         return self.orientable
@@ -736,21 +748,26 @@ def scalene_natural_presentation(fam: PLFamily) -> PLFamily:
 # -- isomorphism search ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Infeasibility:
-    vertex: str
-    left_edge: str
-    left_forced: tuple
-    right_edge: str
-    right_forced: tuple
+class Infeasibility(Record):
+    __slots__ = ("vertex", "left_edge", "left_forced", "right_edge", "right_forced")
+
+    def __init__(self, vertex: str, left_edge: str, left_forced: tuple, right_edge: str, right_forced: tuple):
+        setfield(self, "vertex", vertex)
+        setfield(self, "left_edge", left_edge)
+        setfield(self, "left_forced", left_forced)
+        setfield(self, "right_edge", right_edge)
+        setfield(self, "right_forced", right_forced)
 
 
-@dataclass(frozen=True)
-class IsoResult:
-    found: bool
-    assignment: dict | None = None     # edge -> Perm
-    vertex_perms: dict | None = None   # vertex -> Perm
-    obstruction: Infeasibility | None = None
+class IsoResult(Record):
+    __slots__ = ("found", "assignment", "vertex_perms", "obstruction")
+
+    def __init__(self, found: bool, assignment: dict | None = None,
+                 vertex_perms: dict | None = None, obstruction: Infeasibility | None = None):
+        setfield(self, "found", found)
+        setfield(self, "assignment", assignment)  # edge -> Perm
+        setfield(self, "vertex_perms", vertex_perms)  # vertex -> Perm
+        setfield(self, "obstruction", obstruction)
 
     def __bool__(self):
         return self.found
@@ -917,12 +934,14 @@ def double_cover_of_circle(fam: PLFamily) -> GraphMap:
 # -- coarse factorization ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantAssignment:
+class InvariantAssignment(Record):
     """A fiberwise invariant: one exact vector per triangle."""
 
-    name: str
-    fn: object  # TriangleLengths -> tuple[Fraction, ...]
+    __slots__ = ("name", "fn")
+
+    def __init__(self, name: str, fn: object):
+        setfield(self, "name", name)
+        setfield(self, "fn", fn)  # TriangleLengths -> tuple[Fraction, ...]
 
     def __call__(self, t: TriangleLengths):
         return tuple(Fraction(v) for v in self.fn(t))
@@ -941,10 +960,12 @@ INVARIANTS = {
 }
 
 
-@dataclass(frozen=True)
-class CoarseVerdict:
-    status: str  # factors | not-natural | mismatch
-    witness: tuple | None = None
+class CoarseVerdict(Record):
+    __slots__ = ("status", "witness")
+
+    def __init__(self, status: str, witness: tuple | None = None):
+        setfield(self, "status", status)  # factors | not-natural | mismatch
+        setfield(self, "witness", witness)
 
     def __bool__(self):
         return self.status == "factors"
@@ -1046,24 +1067,6 @@ def family_to_json(fam: PLFamily) -> dict:
     }
 
 
-def _records(raw: dict, key: str, fields, path: str = "") -> list:
-    """``raw[key]`` checked to be a list of objects that each have ``fields``;
-    the FamilyError names the first entry or field that is not there."""
-    path += key
-    if key not in raw:
-        raise FamilyError(f"missing {path!r}")
-    items = raw[key]
-    if not isinstance(items, list):
-        raise FamilyError(f"{path}: expected a list")
-    for n, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise FamilyError(f"{path}[{n}]: expected an object")
-        for field in fields:
-            if field not in item:
-                raise FamilyError(f"{path}[{n}]: missing {field!r}")
-    return items
-
-
 def family_from_json(raw: dict) -> PLFamily:
     try:
         return _family_from_records(raw)
@@ -1071,9 +1074,9 @@ def family_from_json(raw: dict) -> PLFamily:
         # reading checks no shape up front (that costs a tenth of a large
         # family's load); once it fails, name the first missing key or
         # entry of the wrong kind, if there is one, instead of its error
-        _records(raw, "vertices", ("id", "lengths"))
-        for n, e in enumerate(_records(raw, "edges", ("id", "from", "to", "chart"))):
-            _records(e, "chart", ("t", "lengths"), f"edges[{n}].")
+        json_records(raw, "vertices", ("id", "lengths"), FamilyError)
+        for n, e in enumerate(json_records(raw, "edges", ("id", "from", "to", "chart"), FamilyError)):
+            json_records(e, "chart", ("t", "lengths"), FamilyError, f"edges[{n}]")
         raise
 
 

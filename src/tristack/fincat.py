@@ -11,8 +11,9 @@ are immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
+
+from .records import Record, Verdict, json_field, json_records, setfield
 
 
 class CategoryError(ValueError):
@@ -43,23 +44,13 @@ class NotFibered(CategoryError):
     pass
 
 
-@dataclass(frozen=True)
-class Morphism:
-    id: str
-    src: str
-    tgt: str
+class Morphism(Record):
+    __slots__ = ("id", "src", "tgt")
 
-
-@dataclass(frozen=True)
-class Verdict:
-    """Boolean outcome plus the first witness when negative."""
-
-    ok: bool
-    reason: str | None = None
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
+    def __init__(self, id: str, src: str, tgt: str):
+        setfield(self, "id", id)
+        setfield(self, "src", src)
+        setfield(self, "tgt", tgt)
 
 
 class FinCat:
@@ -256,14 +247,29 @@ def validate_category(raw) -> FinCat:
         for key in ("objects", "morphisms", "identities", "compose"):
             if key not in raw:
                 raise CategoryError(f"missing {key!r}")
-        morphisms = [Morphism(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]]
-        table = {(g, f): gf for g, f, gf in raw["compose"]}
-        return FinCat(raw["objects"], morphisms, raw["identities"], table)
+        try:
+            morphisms = [Morphism(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]]
+            table = {(g, f): gf for g, f, gf in raw["compose"]}
+            return FinCat(raw["objects"], morphisms, raw["identities"], table)
+        except (KeyError, TypeError, ValueError):
+            # the shape is checked only once reading fails, so that its
+            # error names the first bad entry; a broken axiom passes through
+            _check_category_shape(raw)
+            raise
     if not isinstance(raw, tuple):
         raise CategoryError("expected an object")
     objects, morphisms, identity, table = raw
     morphisms = [m if isinstance(m, Morphism) else Morphism(*m) for m in morphisms]
     return FinCat(objects, morphisms, identity, table)
+
+
+def _check_category_shape(raw: dict):
+    json_field(raw, "objects", list, CategoryError)
+    json_records(raw, "morphisms", ("id", "src", "tgt"), CategoryError)
+    json_field(raw, "identities", dict, CategoryError)
+    for n, entry in enumerate(json_field(raw, "compose", list, CategoryError)):
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise CategoryError(f"compose[{n}]: expected [g, f, gf]")
 
 
 def category_to_json(c: FinCat) -> dict:
@@ -359,14 +365,16 @@ def discrete_category(objects):
 # -- functors ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Functor:
+class Functor(Record):
     """Functor data between explicit finite categories."""
 
-    dom: FinCat
-    cod: FinCat
-    obj_map: dict
-    mor_map: dict
+    __slots__ = ("dom", "cod", "obj_map", "mor_map")
+
+    def __init__(self, dom: FinCat, cod: FinCat, obj_map: dict, mor_map: dict):
+        setfield(self, "dom", dom)
+        setfield(self, "cod", cod)
+        setfield(self, "obj_map", obj_map)
+        setfield(self, "mor_map", mor_map)
 
     def on_obj(self, o: str) -> str:
         return self.obj_map[o]
@@ -568,8 +576,7 @@ def is_cartesian(fun: Functor, f_prime: str) -> bool:
     return _universal(*lift_images(fun, f_prime), cones)
 
 
-@dataclass(frozen=True)
-class FibrationVerdict:
+class FibrationVerdict(Record):
     """Outcome of a fibration check.
 
     ``status`` is one of fibered / groupoid-fibration / neither.  A
@@ -579,10 +586,13 @@ class FibrationVerdict:
     holds.
     """
 
-    status: str
-    ok: bool
-    lifts: dict | None = None
-    witness: tuple | None = None
+    __slots__ = ("status", "ok", "lifts", "witness")
+
+    def __init__(self, status: str, ok: bool, lifts: dict | None = None, witness: tuple | None = None):
+        setfield(self, "status", status)
+        setfield(self, "ok", ok)
+        setfield(self, "lifts", lifts)
+        setfield(self, "witness", witness)
 
     def __bool__(self):
         return self.ok
@@ -789,11 +799,13 @@ def functor_hom_over(c: FinCat, f1: Functor, f2: Functor) -> list[Functor]:
     return list(functors(d1, d2, obj_choices, lambda m, m2: f2.mor_map[m2] == f1.mor_map[m]))
 
 
-@dataclass(frozen=True)
-class PullbackSquare:
-    apex: str
-    to_left: str   # projection onto the source of f
-    to_right: str  # projection onto the source of g
+class PullbackSquare(Record):
+    __slots__ = ("apex", "to_left", "to_right")
+
+    def __init__(self, apex: str, to_left: str, to_right: str):
+        setfield(self, "apex", apex)
+        setfield(self, "to_left", to_left)  # projection onto the source of f
+        setfield(self, "to_right", to_right)  # projection onto the source of g
 
 
 def _cones(c: FinCat, f: str, g: str) -> list:

@@ -11,8 +11,6 @@ stored componentwise and checked, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fincat import (
     FinCat,
     Functor,
@@ -33,6 +31,7 @@ from .fincat import (
     validate_category,
     validate_functor,
 )
+from .records import Record, json_field, json_records, setfield
 
 
 class InvalidPseudoFunctor(ValueError):
@@ -43,8 +42,7 @@ class InvalidCleavage(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PseudoFunctor:
+class PseudoFunctor(Record):
     """Fiberwise data over a finite base category.
 
     ``fibers[S]`` is the category over the base object S;
@@ -55,11 +53,14 @@ class PseudoFunctor:
     pairs included.
     """
 
-    base: FinCat
-    fibers: dict
-    pullbacks: dict
-    epsilon: dict
-    alpha: dict
+    __slots__ = ("base", "fibers", "pullbacks", "epsilon", "alpha")
+
+    def __init__(self, base: FinCat, fibers: dict, pullbacks: dict, epsilon: dict, alpha: dict):
+        setfield(self, "base", base)
+        setfield(self, "fibers", fibers)
+        setfield(self, "pullbacks", pullbacks)
+        setfield(self, "epsilon", epsilon)
+        setfield(self, "alpha", alpha)
 
     def composable_pairs(self):
         """Pairs (f, g) with tgt(f) == src(g), so g∘f is defined."""
@@ -358,6 +359,38 @@ def pseudofunctor_to_json(p: PseudoFunctor) -> dict:
 
 
 def pseudofunctor_from_json(raw: dict) -> PseudoFunctor:
+    try:
+        return _pseudofunctor_from_records(raw)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        _check_pseudofunctor_shape(raw)
+        raise
+
+
+def _check_pseudofunctor_shape(raw: dict):
+    """Name the first missing or ill-kinded entry, once reading has failed."""
+    if "base" not in raw:
+        raise InvalidPseudoFunctor("missing 'base'")
+    base = validate_category(raw["base"])
+    fibers = json_field(raw, "fibers", dict, InvalidPseudoFunctor)
+    for S in base.objects:
+        if S not in fibers:
+            raise InvalidPseudoFunctor(f"fibers: missing {S!r}")
+        validate_category(fibers[S])
+    pullbacks = json_field(raw, "pullbacks", dict, InvalidPseudoFunctor)
+    for f, fun in pullbacks.items():
+        if f not in base.morphisms:
+            raise InvalidPseudoFunctor(f"pullbacks: {f!r} is not an arrow of the base")
+        json_field(pullbacks, f, dict, InvalidPseudoFunctor, "pullbacks")
+        json_field(fun, "onObjects", dict, InvalidPseudoFunctor, f"pullbacks.{f}")
+        json_field(fun, "onMorphisms", dict, InvalidPseudoFunctor, f"pullbacks.{f}")
+    for n, entry in enumerate(json_records(raw, "alpha", ("f", "g", "components"), InvalidPseudoFunctor)):
+        json_field(entry, "components", dict, InvalidPseudoFunctor, f"alpha[{n}]")
+    epsilon = json_field(raw, "epsilon", dict, InvalidPseudoFunctor)
+    for S in epsilon:
+        json_field(epsilon, S, dict, InvalidPseudoFunctor, "epsilon")
+
+
+def _pseudofunctor_from_records(raw: dict) -> PseudoFunctor:
     base = validate_category(raw["base"])
     fibers = {S: validate_category(raw["fibers"][S]) for S in base.objects}
     pullbacks = {

@@ -11,9 +11,8 @@ stock groups load without the family machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import trigeo
+from .records import Record, setfield
 from .trigeo import PERMS
 
 
@@ -21,13 +20,15 @@ class GroupError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Group:
-    name: str
-    elements: tuple
-    table: dict        # (a, b) -> "a then b"
-    identity: str
-    inv: dict
+class Group(Record):
+    __slots__ = ("name", "elements", "table", "identity", "inv")
+
+    def __init__(self, name: str, elements: tuple, table: dict, identity: str, inv: dict):
+        setfield(self, "name", name)
+        setfield(self, "elements", elements)
+        setfield(self, "table", table)  # (a, b) -> "a then b"
+        setfield(self, "identity", identity)
+        setfield(self, "inv", inv)
 
     def mul(self, a, b):
         return self.table[(a, b)]

@@ -14,7 +14,6 @@ mul(mul(g_uv, g_vw), g_wu) == e.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import trigeo
 # the stock groups stay importable from here as well
@@ -29,7 +28,7 @@ from .families import (
     make_chart,
     validate_family,
 )
-from .fincat import Verdict
+from .records import Record, Verdict, json_field, json_records, setfield
 from .trigeo import PERMS, TriangleLengths, act, inverse as perm_inverse
 
 
@@ -62,10 +61,12 @@ class InvalidPair(TorsorError):
 # -- simplicial bases ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Face:
-    id: str
-    boundary: tuple  # ((edge id, +1 | -1), ...) of length 3, chained head to tail
+class Face(Record):
+    __slots__ = ("id", "boundary")
+
+    def __init__(self, id: str, boundary: tuple):
+        setfield(self, "id", id)
+        setfield(self, "boundary", boundary)  # ((edge id, +1 | -1), ...) of length 3, chained head to tail
 
 
 class SimplicialBase:
@@ -159,11 +160,13 @@ def is_subcomplex(base: SimplicialBase, cells: frozenset) -> bool:
 # -- torsor cocycles --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorsorCocycle:
-    base: SimplicialBase
-    group: Group
-    transitions: dict  # edge id -> element (for the edge's own orientation)
+class TorsorCocycle(Record):
+    __slots__ = ("base", "group", "transitions")
+
+    def __init__(self, base: SimplicialBase, group: Group, transitions: dict):
+        setfield(self, "base", base)
+        setfield(self, "group", group)
+        setfield(self, "transitions", transitions)  # edge id -> element (for the edge's own orientation)
 
     def element(self, eid, direction=1):
         g = self.transitions[eid]
@@ -182,12 +185,15 @@ def validate_torsor(t: TorsorCocycle) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class Triviality:
-    trivial: bool
-    gauge: dict | None = None              # vertex -> element
-    obstruction_cycle: tuple | None = None
-    monodromy: str | None = None
+class Triviality(Record):
+    __slots__ = ("trivial", "gauge", "obstruction_cycle", "monodromy")
+
+    def __init__(self, trivial: bool, gauge: dict | None = None,
+                 obstruction_cycle: tuple | None = None, monodromy: str | None = None):
+        setfield(self, "trivial", trivial)
+        setfield(self, "gauge", gauge)  # vertex -> element
+        setfield(self, "obstruction_cycle", obstruction_cycle)
+        setfield(self, "monodromy", monodromy)
 
     def __bool__(self):
         return self.trivial
@@ -325,8 +331,7 @@ def gauge_as_sheet_maps(t: TorsorCocycle, gauge: dict) -> dict:
 # -- descent gluing -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlueData:
+class GlueData(Record):
     """Per-piece trivial torsors plus identifications on overlaps.
 
     ``pieces`` are closed subcomplexes covering the base; the piece
@@ -335,10 +340,13 @@ class GlueData:
     of piece i sheets with piece j sheets over that cell.
     """
 
-    base: SimplicialBase
-    group: Group
-    pieces: tuple
-    transitions: dict
+    __slots__ = ("base", "group", "pieces", "transitions")
+
+    def __init__(self, base: SimplicialBase, group: Group, pieces: tuple, transitions: dict):
+        setfield(self, "base", base)
+        setfield(self, "group", group)
+        setfield(self, "pieces", pieces)
+        setfield(self, "transitions", transitions)
 
     def alpha(self, j: int, i: int, cell) -> str:
         """Identification piece i -> piece j over the cell."""
@@ -445,8 +453,7 @@ def star_cover(base: SimplicialBase):
 # -- the family correspondence -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorsorPair:
+class TorsorPair(Record):
     """An S3 cocycle with an equivariant map to the triangle cone.
 
     Sheets over a vertex are the six vertex orderings of the fiber, the
@@ -456,11 +463,14 @@ class TorsorPair:
     that relate chart labels to the vertex references.
     """
 
-    torsor: TorsorCocycle
-    vertex_refs: dict   # vertex -> TriangleLengths
-    charts: dict        # edge -> chart
-    glue_from: dict     # edge -> Perm
-    glue_to: dict       # edge -> Perm
+    __slots__ = ("torsor", "vertex_refs", "charts", "glue_from", "glue_to")
+
+    def __init__(self, torsor: TorsorCocycle, vertex_refs: dict, charts: dict, glue_from: dict, glue_to: dict):
+        setfield(self, "torsor", torsor)
+        setfield(self, "vertex_refs", vertex_refs)  # vertex -> TriangleLengths
+        setfield(self, "charts", charts)  # edge -> chart
+        setfield(self, "glue_from", glue_from)  # edge -> Perm
+        setfield(self, "glue_to", glue_to)  # edge -> Perm
 
     def sheet_point(self, v: str, sheet: str) -> TriangleLengths:
         return act(perm_inverse(sheet), self.vertex_refs[v])
@@ -572,11 +582,39 @@ def torsor_to_json(t: TorsorCocycle) -> dict:
 
 
 def torsor_from_json(raw: dict) -> TorsorCocycle:
-    return TorsorCocycle(
-        complex_from_json(raw["base"]),
-        group_from_json(raw["group"]),
-        dict(raw["transitions"]),
-    )
+    try:
+        return TorsorCocycle(
+            complex_from_json(raw["base"]),
+            group_from_json(raw["group"]),
+            dict(raw["transitions"]),
+        )
+    except (KeyError, TypeError, ValueError):
+        _check_torsor_shape(raw, dict)
+        raise
+
+
+def _check_torsor_shape(raw: dict, transitions: type):
+    """Name the first missing or ill-kinded entry of a torsor, pair or glue file.
+
+    Called once reading has failed, so well-formed files pay nothing;
+    ``transitions`` is the JSON kind the file keeps them in.
+    """
+    base = json_field(raw, "base", dict, TorsorError)
+    json_field(base, "vertices", list, TorsorError, "base")
+    json_records(base, "edges", ("id", "from", "to"), TorsorError, "base")
+    if "faces" in base:
+        json_records(base, "faces", ("id", "boundary"), TorsorError, "base")
+    if "group" not in raw:
+        raise TorsorError("missing 'group'")
+    group = raw["group"]
+    if isinstance(group, str):
+        if group not in BUILTIN_GROUPS:
+            raise TorsorError(f"group: {group!r} is not one of {', '.join(sorted(BUILTIN_GROUPS))}")
+    else:
+        json_field(raw, "group", dict, TorsorError)
+        json_field(group, "elements", list, TorsorError, "group")
+        json_field(group, "mul", list, TorsorError, "group")
+    json_field(raw, "transitions", transitions, TorsorError)
 
 
 def pair_to_json(p: TorsorPair) -> dict:
@@ -596,6 +634,24 @@ def pair_to_json(p: TorsorPair) -> dict:
 
 def pair_from_json(raw: dict) -> TorsorPair:
     torsor = torsor_from_json(raw)
+    try:
+        return _pair_from_records(raw, torsor)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        equivariant = json_field(raw, "equivariant", dict, TorsorError)
+        for v, table in equivariant.items():
+            json_field(equivariant, v, dict, TorsorError, "equivariant")
+            for s in PERMS:
+                if s not in table:
+                    raise TorsorError(f"equivariant.{v}: missing {s!r}")
+        charts = json_field(raw, "charts", dict, TorsorError)
+        for e in charts:
+            json_records(charts, e, ("t", "lengths"), TorsorError, "charts")
+        json_field(raw, "glueFrom", dict, TorsorError)
+        json_field(raw, "glueTo", dict, TorsorError)
+        raise
+
+
+def _pair_from_records(raw: dict, torsor: TorsorCocycle) -> TorsorPair:
     read = trigeo.RationalReader(FamilyError)
     refs = {}
     for v, table in raw["equivariant"].items():
@@ -626,10 +682,19 @@ def glue_data_to_json(g: GlueData) -> dict:
 
 
 def glue_data_from_json(raw: dict) -> GlueData:
-    return GlueData(
-        complex_from_json(raw["base"]),
-        group_from_json(raw["group"]),
-        tuple(frozenset(cells) for cells in raw["pieces"]),
-        {(e["i"], e["j"]): dict(e["cells"]) for e in raw["transitions"]},
-    )
+    try:
+        return GlueData(
+            complex_from_json(raw["base"]),
+            group_from_json(raw["group"]),
+            tuple(frozenset(cells) for cells in raw["pieces"]),
+            {(e["i"], e["j"]): dict(e["cells"]) for e in raw["transitions"]},
+        )
+    except (KeyError, TypeError, ValueError):
+        _check_torsor_shape(raw, list)
+        for n, cells in enumerate(json_field(raw, "pieces", list, TorsorError)):
+            if not isinstance(cells, list):
+                raise TorsorError(f"pieces[{n}]: expected a list of cells")
+        for n, e in enumerate(json_records(raw, "transitions", ("i", "j", "cells"), TorsorError)):
+            json_field(e, "cells", dict, TorsorError, f"transitions[{n}]")
+        raise
 

@@ -15,8 +15,9 @@ module and everything built on it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .records import OrderedRecord, Record, setfield
 
 
 class NotInM(ValueError):
@@ -110,20 +111,18 @@ def _interior(x: Fraction, y: Fraction, z: Fraction) -> bool:
     return a + b > c and a + c > b and b + c > a
 
 
-@dataclass(frozen=True, order=True)
-class TriangleLengths:
+class TriangleLengths(OrderedRecord):
     """A point of the open cone M; the constructor rejects the boundary."""
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frac(self.x))
-        object.__setattr__(self, "y", _frac(self.y))
-        object.__setattr__(self, "z", _frac(self.z))
-        if not _interior(self.x, self.y, self.z):
-            raise NotInM(f"({self.x}, {self.y}, {self.z}) is not an interior triangle triple")
+    def __init__(self, x: Fraction, y: Fraction, z: Fraction):
+        x, y, z = _frac(x), _frac(y), _frac(z)
+        setfield(self, "x", x)
+        setfield(self, "y", y)
+        setfield(self, "z", z)
+        if not _interior(x, y, z):
+            raise NotInM(f"({x}, {y}, {z}) is not an interior triangle triple")
 
     def astuple(self):
         return (self.x, self.y, self.z)
@@ -135,20 +134,18 @@ class TriangleLengths:
         return f"TriangleLengths({self.x}, {self.y}, {self.z})"
 
 
-@dataclass(frozen=True, order=True)
-class NPoint:
+class NPoint(OrderedRecord):
     """A sorted triple 0 < x <= y <= z with x + y > z: a point of N."""
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frac(self.x))
-        object.__setattr__(self, "y", _frac(self.y))
-        object.__setattr__(self, "z", _frac(self.z))
-        if not (0 < self.x <= self.y <= self.z and self.x + self.y > self.z):
-            raise NotInM(f"({self.x}, {self.y}, {self.z}) is not a sorted interior triple")
+    def __init__(self, x: Fraction, y: Fraction, z: Fraction):
+        x, y, z = _frac(x), _frac(y), _frac(z)
+        setfield(self, "x", x)
+        setfield(self, "y", y)
+        setfield(self, "z", z)
+        if not (0 < x <= y <= z and x + y > z):
+            raise NotInM(f"({x}, {y}, {z}) is not a sorted interior triple")
 
     def astuple(self):
         return (self.x, self.y, self.z)
@@ -208,15 +205,15 @@ def normalize_perimeter(t: TriangleLengths) -> TriangleLengths:
     return TriangleLengths(2 * t.x / s, 2 * t.y / s, 2 * t.z / s)
 
 
-@dataclass(frozen=True)
-class SqrtFrac:
+class SqrtFrac(Record):
     """The positive square root of a positive rational, kept symbolic."""
 
-    radicand: Fraction
+    __slots__ = ("radicand",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "radicand", _frac(self.radicand))
-        if self.radicand <= 0:
+    def __init__(self, radicand: Fraction):
+        radicand = _frac(radicand)
+        setfield(self, "radicand", radicand)
+        if radicand <= 0:
             raise ValueError("radicand must be positive")
 
     @property

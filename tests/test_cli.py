@@ -449,6 +449,113 @@ class TestInputContract:
         self.assert_malformed(capsys, ["groth-roundtrip", str(p)], f"{p}: {message}")
 
 
+    def test_category_entries_are_named(self, tmp_path, capsys):
+        site = descent.site_to_json(corpus.site_two_point_space())
+        cases = [
+            (lambda cat: cat.update(morphisms=["a", "b"]), "morphisms[0]: expected an object"),
+            (lambda cat: cat["morphisms"][1].pop("src"), "morphisms[1]: missing 'src'"),
+            (lambda cat: cat["compose"].__setitem__(0, ["a"]), "compose[0]: expected [g, f, gf]"),
+            (lambda cat: cat.update(identities=[]), "identities: expected an object"),
+            (lambda cat: cat.update(objects=5), "objects: expected a list"),
+        ]
+        for breakage, message in cases:
+            raw = json.loads(json.dumps(site))
+            breakage(raw["base"])
+            p = tmp_path / "site.json"
+            p.write_text(json.dumps(raw))
+            self.assert_malformed(capsys, ["site-check", str(p)], f"{p}: {message}")
+            p.write_text(json.dumps({"site": raw, "fibered": {"kind": "slice", "object": "X"}}))
+            self.assert_malformed(capsys, ["stack-check", str(p)], f"{p}: site: {message}")
+
+    def test_descriptor_fields_are_named(self, tmp_path, capsys):
+        site = corpus.site_two_point_space()
+        values = {x: ["a"] for x in site.base.objects}
+        restrictions = {f: {"a": "a"} for f in site.base.morphisms}
+        f0 = sorted(site.base.morphisms)[0]
+        cases = [
+            ({"kind": "elements", "values": values}, "fibered: missing 'restrictions'"),
+            ({"kind": "elements", "restrictions": restrictions}, "fibered: missing 'values'"),
+            ({"kind": "elements", "values": values, "restrictions": []}, "fibered.restrictions: expected an object"),
+            ({"kind": "elements", "values": {}, "restrictions": restrictions}, "fibered.values: missing '0'"),
+            ({"kind": "elements", "values": values, "restrictions": {**restrictions, f0: {}}},
+             f"fibered.restrictions.{f0}: missing 'a'"),
+            ({"kind": "slice"}, "fibered: missing 'object'"),
+            ({"kind": "total"}, "fibered: missing 'pseudofunctor'"),
+        ]
+        p = tmp_path / "in.json"
+        for fibered, message in cases:
+            p.write_text(json.dumps({"site": descent.site_to_json(site), "fibered": fibered}))
+            self.assert_malformed(capsys, ["stack-check", str(p)], f"{p}: {message}")
+
+    @staticmethod
+    def glue_breakages():
+        return [
+            (lambda raw: raw.pop("base"), "missing 'base'"),
+            (lambda raw: raw.pop("group"), "missing 'group'"),
+            (lambda raw: raw.pop("pieces"), "missing 'pieces'"),
+            (lambda raw: raw.pop("transitions"), "missing 'transitions'"),
+            (lambda raw: raw["base"]["edges"][0].pop("from"), "base.edges[0]: missing 'from'"),
+            (lambda raw: raw.update(group="Q8"), "group: 'Q8' is not one of S3, Z2, Z3"),
+            (lambda raw: raw.update(group={"elements": ["e"]}), "group: missing 'mul'"),
+            (lambda raw: raw.update(pieces=[5]), "pieces[0]: expected a list of cells"),
+            (lambda raw: raw["transitions"][0].pop("cells"), "transitions[0]: missing 'cells'"),
+            (lambda raw: raw["transitions"][0].update(cells=5), "transitions[0].cells: expected an object"),
+        ]
+
+    def test_glue_fields_are_named(self, tmp_path, capsys):
+        data = torsor.GlueData(
+            corpus.circle_base(2), torsor.group_s3(),
+            (frozenset({"a0", "a1", "e0"}), frozenset({"a0", "a1", "e1"})),
+            {(0, 1): {"a0": "(ABC)", "a1": "(AB)"}},
+        )
+        p = tmp_path / "g.json"
+        for breakage, message in self.glue_breakages():
+            raw = torsor.glue_data_to_json(data)
+            breakage(raw)
+            p.write_text(json.dumps(raw))
+            self.assert_malformed(capsys, ["descent-glue", str(p)], f"{p}: {message}")
+
+    def test_pseudofunctor_fields_are_named(self, tmp_path, capsys):
+        psf = grothendieck.pseudofunctor_to_json(corpus.cocycle_pseudofunctor("Z2", "Z2", {}))
+        f0 = next(iter(psf["pullbacks"]))
+        cases = [(lambda raw, key=key: raw.pop(key), f"missing {key!r}")
+                 for key in ("base", "fibers", "pullbacks", "alpha", "epsilon")]
+        cases += [
+            (lambda raw: raw.update(fibers={}), "fibers: missing '*'"),
+            (lambda raw: raw["pullbacks"][f0].pop("onObjects"), f"pullbacks.{f0}: missing 'onObjects'"),
+            (lambda raw: raw["alpha"][0].pop("components"), "alpha[0]: missing 'components'"),
+        ]
+        p = tmp_path / "psf.json"
+        for breakage, message in cases:
+            raw = json.loads(json.dumps(psf))
+            breakage(raw)
+            p.write_text(json.dumps(raw))
+            self.assert_malformed(capsys, ["groth-roundtrip", str(p)], f"{p}: {message}")
+
+    def test_pair_and_deformation_loaders_name_the_field(self):
+        from tristack import deform
+
+        pair = torsor.pair_to_json(torsor.family_to_torsor_pair(families.fixture_mobius()))
+        v = next(iter(pair["equivariant"]))
+        for breakage, message in [
+            (lambda raw: raw.pop("equivariant"), "missing 'equivariant'"),
+            (lambda raw: raw["equivariant"][v].pop("(AB)"), f"equivariant.{v}: missing '(AB)'"),
+            (lambda raw: raw.update(charts=[]), "charts: expected an object"),
+            (lambda raw: raw.pop("glueTo"), "missing 'glueTo'"),
+            (lambda raw: raw.pop("base"), "missing 'base'"),
+        ]:
+            raw = json.loads(json.dumps(pair))
+            breakage(raw)
+            with pytest.raises(torsor.TorsorError) as err:
+                torsor.pair_from_json(raw)
+            assert str(err.value) == message
+        d = deform.deformation_to_json(corpus.deformation_corpus(seed=1, n=1)[0])
+        for key in ("triangle", "basepoint"):
+            raw = {k: v for k, v in d.items() if k != key}
+            with pytest.raises(families.FamilyError, match=f"^missing '{key}'$"):
+                deform.deformation_from_json(raw)
+
+
 class TestPlotData:
     def test_csv_header_and_regions(self, capsys):
         code, out = run(capsys, "plot-data", "--denominator", "6")
@@ -507,3 +614,65 @@ def test_cli_import_leaves_the_test_generators_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Each subcommand imports only the layers it calls: the modules of the
+# package that one run leaves in sys.modules, beside the CLI and the record base.
+TRIGEO = {"tristack.trigeo"}
+FAMILY = TRIGEO | {"tristack.families"}
+GLUE = FAMILY | {"tristack.groups", "tristack.torsor"}
+CATEGORY = {"tristack.fincat", "tristack.grothendieck"}
+SITE = CATEGORY | {"tristack.descent"}
+
+SUBCOMMAND_LAYERS = [
+    (["classify", "3", "4", "5"], TRIGEO),
+    (["plot-data", "--denominator", "3"], TRIGEO),
+    (["family-iso", "{family}", "{family}"], FAMILY),
+    (["orientable", "{family}"], FAMILY),
+    (["coarse-check", "perimeter", "--families", "{family}"], FAMILY),
+    (["demo-remark25"], FAMILY),
+    (["demo-mobius"], FAMILY),
+    (["descent-glue", "{glue}"], GLUE),
+    (["groth-roundtrip", "{psf}"], CATEGORY),
+    (["site-check", "{site}"], SITE),
+    (["stack-check", "{stack}"], SITE),
+]
+
+LOADED = """
+import json, sys
+from tristack.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.startswith("tristack"))}))
+"""
+
+
+@pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS, ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
+def test_each_subcommand_imports_only_its_layers(tmp_path, argv, layers):
+    site = descent.site_to_json(corpus.site_two_point_space())
+    circle = torsor.GlueData(
+        corpus.circle_base(2), torsor.group_s3(),
+        (frozenset({"a0", "a1", "e0"}), frozenset({"a0", "a1", "e1"})),
+        {(0, 1): {"a0": "(ABC)", "a1": "(AB)"}},
+    )
+    inputs = {
+        "family": families.family_to_json(families.fixture_remark25()[0]),
+        "glue": torsor.glue_data_to_json(circle),
+        "psf": grothendieck.pseudofunctor_to_json(corpus.cocycle_pseudofunctor("Z2", "Z2", {})),
+        "site": site,
+        "stack": {"site": site, "fibered": {"kind": "slice", "object": "X"}},
+    }
+    paths = {}
+    for name, raw in inputs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(raw))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, *(a.format(**paths) for a in argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["code"] in (0, 1)
+    assert set(loaded["modules"]) == {"tristack", "tristack.cli", "tristack.records"} | layers
+    assert not loaded["dataclasses"]

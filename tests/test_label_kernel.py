@@ -31,6 +31,7 @@ from tristack.families import (
     is_orientable,
     twist_family,
 )
+from tristack.records import Record
 from tristack.torsor import (
     SimplicialBase,
     TorsorCocycle,
@@ -288,11 +289,11 @@ def oracle_find_gauge(t1, t2):
 
 
 def _ordered(value):
-    """Dataclass or dict with every dict replaced by its item list, so order counts."""
+    """Record or dict with every dict replaced by its item list, so order counts."""
     if isinstance(value, dict):
         return [(k, _ordered(v)) for k, v in value.items()]
-    if hasattr(value, "__dataclass_fields__"):
-        return (type(value).__name__, [(k, _ordered(getattr(value, k))) for k in value.__dataclass_fields__])
+    if isinstance(value, Record):
+        return (type(value).__name__, [(k, _ordered(getattr(value, k))) for k in value.__slots__])
     if isinstance(value, list):
         return [_ordered(v) for v in value]
     return value
