@@ -40,6 +40,15 @@ def _load_json(path):
     return raw
 
 
+def _read_file(path, loader):
+    """``loader`` applied to the JSON object in the file; what it raises is an input error."""
+    raw = _load_json(path)
+    try:
+        return loader(raw)
+    except Exception as err:
+        raise InputError(f"{path}: {err}")
+
+
 # -- subcommand implementations (report dict, exit code) -------------------------
 
 
@@ -80,7 +89,9 @@ def _site_axioms(site):
 
 
 def cmd_site_check(args):
-    site = _site_from_file(args.site)
+    from . import descent
+
+    site = _read_file(args.site, descent.site_from_json)
     v = _site_axioms(site)
     if v.ok:
         return {"valid": True}, 0, "site axioms T1-T3 hold"
@@ -91,21 +102,23 @@ def cmd_site_check(args):
     )
 
 
-def _site_from_file(path):
-    from . import descent
-
-    raw = _load_json(path)
-    try:
-        return descent.site_from_json(raw)
-    except Exception as err:
-        raise InputError(f"{path}: {err}")
+# the ``fibered`` entry of a ``stack-check`` file, by kind
+DESCRIPTORS = {
+    "slice": {"object": str},
+    "elements": {"values": {str: [None]}, "restrictions": {str: {str: None}}},
+    "total": {"pseudofunctor": {str: None}},
+}
 
 
 def _transport_from_descriptor(site, desc, path):
     from . import descent, fincat, grothendieck
+    from .records import walk
+
+    def bad(message):
+        return InputError(f"{path}: {message}")
 
     if not isinstance(desc, dict):
-        raise InputError(f"{path}: fibered: expected a JSON object, got {type(desc).__name__}")
+        raise bad(f"fibered: expected a JSON object, got {type(desc).__name__}")
     kind = desc.get("kind")
     try:
         if kind == "slice":
@@ -119,37 +132,27 @@ def _transport_from_descriptor(site, desc, path):
             p = grothendieck.pseudofunctor_from_json(desc["pseudofunctor"])
             _, proj = grothendieck.total_category(p)
             return descent.Transport(proj)
-    except InputError:
-        raise
     except Exception as err:
-        _check_descriptor_shape(site.base, desc, kind, path)
-        raise InputError(f"{path}: fibered category descriptor invalid: {err}")
-    raise InputError(f"{path}: unknown fibered kind {kind!r}")
+        walk(desc, DESCRIPTORS[kind], bad, "fibered")
+        if kind == "elements":
+            _check_presheaf_keys(site.base, desc["values"], desc["restrictions"], bad)
+        raise bad(f"fibered category descriptor invalid: {err}")
+    raise bad(f"unknown fibered kind {kind!r}")
 
 
-_DESCRIPTOR_FIELDS = {"slice": {"object": str}, "elements": {"values": dict, "restrictions": dict},
-                      "total": {"pseudofunctor": dict}}
-
-
-def _check_descriptor_shape(base, desc, kind, path):
-    """Name the first missing or ill-kinded entry of a descriptor that failed to load."""
-    from .records import json_field
-
-    def bad(message):
-        return InputError(f"{path}: {message}")
-
-    for key, kind_of in _DESCRIPTOR_FIELDS[kind].items():
-        json_field(desc, key, kind_of, bad, "fibered")
-    if kind == "elements":
-        values, restrictions = desc["values"], desc["restrictions"]
-        for x in base.objects:
-            if not all(isinstance(e, str) for e in json_field(values, x, list, bad, "fibered.values")):
-                raise bad(f"fibered.values.{x}: expected a list of element ids")
-        for f in sorted(base.morphisms):
-            table = json_field(restrictions, f, dict, bad, "fibered.restrictions")
-            for e in values[base.tgt(f)]:
-                if e not in table:
-                    raise bad(f"fibered.restrictions.{f}: missing {e!r}")
+def _check_presheaf_keys(base, values, restrictions, bad):
+    """Name the first object or arrow of the base that a presheaf leaves out, or a bad element id."""
+    for x in base.objects:
+        if x not in values:
+            raise bad(f"fibered.values: missing {x!r}")
+        if not all(isinstance(e, str) for e in values[x]):
+            raise bad(f"fibered.values.{x}: expected a list of element ids")
+    for f in sorted(base.morphisms):
+        if f not in restrictions:
+            raise bad(f"fibered.restrictions: missing {f!r}")
+        for e in values[base.tgt(f)]:
+            if e not in restrictions[f]:
+                raise bad(f"fibered.restrictions.{f}: missing {e!r}")
 
 
 def cmd_stack_check(args):
@@ -177,11 +180,7 @@ def cmd_stack_check(args):
 def cmd_groth_roundtrip(args):
     from . import grothendieck
 
-    raw = _load_json(args.pseudofunctor)
-    try:
-        p = grothendieck.pseudofunctor_from_json(raw)
-    except Exception as err:
-        raise InputError(f"{args.pseudofunctor}: {err}")
+    p = _read_file(args.pseudofunctor, grothendieck.pseudofunctor_from_json)
     v = grothendieck.validate_pseudofunctor(p)
     if not v.ok:
         return (
@@ -211,11 +210,7 @@ def cmd_groth_roundtrip(args):
 def cmd_descent_glue(args):
     from . import torsor
 
-    raw = _load_json(args.glue)
-    try:
-        data = torsor.glue_data_from_json(raw)
-    except Exception as err:
-        raise InputError(f"{args.glue}: {err}")
+    data = _read_file(args.glue, torsor.glue_data_from_json)
     try:
         glued, witnesses = torsor.glue_descent(data)
     except torsor.CocycleFails as err:
@@ -240,22 +235,11 @@ def cmd_descent_glue(args):
     return report, 0, text
 
 
-def _family_from_file(path):
-    from . import families
-
-    try:
-        return families.family_from_json(_load_json(path))
-    except InputError:
-        raise
-    except Exception as err:
-        raise InputError(f"{path}: {err}")
-
-
 def cmd_family_iso(args):
     from . import families
 
-    f = _family_from_file(args.first)
-    g = _family_from_file(args.second)
+    f = _read_file(args.first, families.family_from_json)
+    g = _read_file(args.second, families.family_from_json)
     try:
         r = families.are_isomorphic(f, g)
     except families.DifferentBase as err:
@@ -298,7 +282,7 @@ def _obstruction_dict(ob):
 def cmd_orientable(args):
     from . import families
 
-    fam = _family_from_file(args.family)
+    fam = _read_file(args.family, families.family_from_json)
     o = families.is_orientable(fam)
     if o.orientable:
         report = {
@@ -325,7 +309,7 @@ def cmd_coarse_check(args):
         )
     beta = families.INVARIANTS[args.invariant]
     if args.families:
-        fams = [_family_from_file(p) for p in args.families]
+        fams = [_read_file(p, families.family_from_json) for p in args.families]
     elif args.corpus_size < 1:
         raise InputError("--corpus-size must be >= 1")
     else:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .families import (
     BaseGraph,
     DifferentBase,
+    FAMILY,
     Edge,
     FamilyError,
     GraphMap,
@@ -31,7 +32,7 @@ from .families import (
     twist_family,
     validate_family,
 )
-from .records import Record, Verdict, json_field, setfield
+from .records import Record, Verdict, read, setfield
 from .trigeo import PERMS, RationalReader, TriangleLengths, act, compose, inverse
 
 
@@ -308,12 +309,14 @@ def deformation_to_json(d: Deformation) -> dict:
     return data
 
 
+DEFORMATION = {**FAMILY, "triangle": None, "basepoint": str, "marking?": str}
+
+
 def deformation_from_json(raw: dict) -> Deformation:
     fam = family_from_json(raw)
-    try:
-        t = RationalReader(FamilyError).lengths(raw["triangle"], "triangle")
-        return deformation(t, fam, raw["basepoint"], raw.get("marking", "e"))
-    except KeyError:
-        json_field(raw, "triangle", list, FamilyError)
-        json_field(raw, "basepoint", str, FamilyError)
-        raise
+    return read(raw, DEFORMATION, lambda raw: _deformation_from_records(raw, fam), FamilyError)
+
+
+def _deformation_from_records(raw: dict, fam: PLFamily) -> Deformation:
+    t = RationalReader(FamilyError).lengths(raw["triangle"], "triangle")
+    return deformation(t, fam, raw["basepoint"], raw.get("marking", "e"))

@@ -28,7 +28,7 @@ from .fincat import (
     validate_category,
 )
 from .grothendieck import PseudoFunctor, extract_pseudofunctor
-from .records import Record, setfield
+from .records import Record, setfield, walk
 
 
 class SiteError(ValueError):
@@ -615,16 +615,9 @@ def _given_squares(base: FinCat, entries) -> dict:
     that is ill-typed, does not commute or is not universal makes the
     file malformed; the error names the entry and its field.
     """
-    if not isinstance(entries, list):
-        raise SiteError("pullbacks: expected a list of squares")
     chosen = {}
     for n, e in enumerate(entries):
         at = f"pullbacks[{n}]"
-        if not isinstance(e, dict):
-            raise SiteError(f"{at}: expected an object")
-        for key in ("f", "g", "apex", "toLeft", "toRight"):
-            if key not in e:
-                raise SiteError(f"{at}: missing {key!r}")
         f, g, apex = e["f"], e["g"], e["apex"]
         for key in ("f", "g"):
             if not isinstance(e[key], str) or e[key] not in base.morphisms:
@@ -646,32 +639,29 @@ def _given_squares(base: FinCat, entries) -> dict:
     return chosen
 
 
-def _given_coverings(base: FinCat, coverings) -> dict:
+def _given_coverings(base: FinCat, coverings: dict) -> dict:
     """The covering table of a site file, each entry checked to name an arrow.
 
-    Only the shape and the arrow ids are checked here: an arrow into the
-    wrong object breaks a site axiom, which ``validate_site`` reports.
+    An arrow into the wrong object breaks a site axiom, which ``validate_site`` reports.
     """
-    if not isinstance(coverings, dict):
-        raise SiteError("coverings: expected an object")
     for x, fams in coverings.items():
-        if not isinstance(fams, list):
-            raise SiteError(f"coverings.{x}: expected a list of families")
         for n, fam in enumerate(fams):
-            if not isinstance(fam, list):
-                raise SiteError(f"coverings.{x}[{n}]: expected a list of arrows")
             for k, iota in enumerate(fam):
                 if not isinstance(iota, str) or iota not in base.morphisms:
                     raise SiteError(f"coverings.{x}[{n}][{k}]: {iota!r} is not an arrow")
     return coverings
 
 
+# checked up front, as its squares are; the base is read against ``CATEGORY``
+SITE = {
+    "base": None,
+    "coverings": {str: ["a list of families", ["a list of arrows", None]]},
+    "pullbacks?": ["a list of squares", dict.fromkeys(("f", "g", "apex", "toLeft", "toRight"))],
+}
+
+
 def site_from_json(raw: dict) -> FiniteSite:
-    if not isinstance(raw, dict):
-        raise SiteError("expected an object")
-    for key in ("base", "coverings"):
-        if key not in raw:
-            raise SiteError(f"missing {key!r}")
+    walk(raw, SITE, SiteError)
     base = validate_category(raw["base"])
     coverings = _given_coverings(base, raw["coverings"])
     return FiniteSite(base, coverings, _given_squares(base, raw.get("pullbacks", [])))

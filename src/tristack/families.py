@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import attrgetter, itemgetter
 
 from . import trigeo
-from .records import Record, json_records, setfield
+from .records import Record, read, setfield
 from .trigeo import (
     PERMS,
     NotInM,
@@ -1067,17 +1067,19 @@ def family_to_json(fam: PLFamily) -> dict:
     }
 
 
+# lengths and times are read by ``trigeo.RationalReader``, which names its own faults
+FAMILY = {
+    "vertices": [{"id": str, "lengths": None}],
+    "edges": [{
+        "id": str, "from": str, "to": str,
+        "chart": [{"t": None, "lengths": None}],
+        "glueFrom?": str, "glueTo?": str,
+    }],
+}
+
+
 def family_from_json(raw: dict) -> PLFamily:
-    try:
-        return _family_from_records(raw)
-    except (KeyError, TypeError, FamilyError):
-        # reading checks no shape up front (that costs a tenth of a large
-        # family's load); once it fails, name the first missing key or
-        # entry of the wrong kind, if there is one, instead of its error
-        json_records(raw, "vertices", ("id", "lengths"), FamilyError)
-        for n, e in enumerate(json_records(raw, "edges", ("id", "from", "to", "chart"), FamilyError)):
-            json_records(e, "chart", ("t", "lengths"), FamilyError, f"edges[{n}]")
-        raise
+    return read(raw, FAMILY, _family_from_records, FamilyError)
 
 
 def _family_from_records(raw: dict) -> PLFamily:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .records import Record, Verdict, json_field, json_records, setfield
+from .records import Record, Verdict, read, setfield
 
 
 class CategoryError(ValueError):
@@ -126,11 +126,11 @@ class FinCat:
 
 def _check_axioms(c: FinCat):
     for obj in c.objects:
-        if obj not in c.identity or c.identity[obj] not in c.morphisms:
-            raise MissingIdentity(obj)
-        i = c.morphisms[c.identity[obj]]
-        if i.src != obj or i.tgt != obj:
-            raise MissingIdentity(obj)
+        if obj not in c.identity:
+            raise MissingIdentity(f"identities: missing {obj!r}")
+        i = c.morphisms.get(c.identity[obj])
+        if i is None or i.src != obj or i.tgt != obj:
+            raise MissingIdentity(f"identities.{obj}: {c.identity[obj]!r} is not an arrow {obj} -> {obj}")
     for m in c.morphisms.values():
         if m.src not in c.objects or m.tgt not in c.objects:
             raise IllTypedComposite((m.id, "endpoint not an object"))
@@ -234,42 +234,35 @@ def _first_axiom_fault(c: FinCat):
     raise RuntimeError("internal: a fast axiom test failed where the exhaustive scan passes")
 
 
+# the category file; a category inside a site or pseudo-functor file is
+# read against it on its own, so its paths start at the category
+CATEGORY = {
+    "objects": [str],
+    "morphisms": [{"id": str, "src": str, "tgt": str}],
+    "identities": {str: str},
+    "compose": [("[g, f, gf]", str, str, str)],
+}
+
+
 def validate_category(raw) -> FinCat:
     """Build a FinCat from raw description, naming the first broken axiom.
 
-    ``raw`` is either the JSON-shaped dict (objects / morphisms /
-    identities / compose) or a tuple (objects, morphisms, identity,
-    compose_table).
+    ``raw`` is either the JSON-shaped dict of ``CATEGORY`` or a tuple
+    (objects, morphisms, identity, compose_table).
     """
     if isinstance(raw, FinCat):
         return FinCat(raw.objects, raw.morphisms.values(), raw.identity, raw.table)
-    if isinstance(raw, dict):
-        for key in ("objects", "morphisms", "identities", "compose"):
-            if key not in raw:
-                raise CategoryError(f"missing {key!r}")
-        try:
-            morphisms = [Morphism(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]]
-            table = {(g, f): gf for g, f, gf in raw["compose"]}
-            return FinCat(raw["objects"], morphisms, raw["identities"], table)
-        except (KeyError, TypeError, ValueError):
-            # the shape is checked only once reading fails, so that its
-            # error names the first bad entry; a broken axiom passes through
-            _check_category_shape(raw)
-            raise
-    if not isinstance(raw, tuple):
-        raise CategoryError("expected an object")
-    objects, morphisms, identity, table = raw
-    morphisms = [m if isinstance(m, Morphism) else Morphism(*m) for m in morphisms]
-    return FinCat(objects, morphisms, identity, table)
+    if isinstance(raw, tuple):
+        objects, morphisms, identity, table = raw
+        morphisms = [m if isinstance(m, Morphism) else Morphism(*m) for m in morphisms]
+        return FinCat(objects, morphisms, identity, table)
+    return read(raw, CATEGORY, _category_from_json, CategoryError)
 
 
-def _check_category_shape(raw: dict):
-    json_field(raw, "objects", list, CategoryError)
-    json_records(raw, "morphisms", ("id", "src", "tgt"), CategoryError)
-    json_field(raw, "identities", dict, CategoryError)
-    for n, entry in enumerate(json_field(raw, "compose", list, CategoryError)):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise CategoryError(f"compose[{n}]: expected [g, f, gf]")
+def _category_from_json(raw: dict) -> FinCat:
+    morphisms = [Morphism(m["id"], m["src"], m["tgt"]) for m in raw["morphisms"]]
+    table = {(g, f): gf for g, f, gf in raw["compose"]}
+    return FinCat(raw["objects"], morphisms, raw["identities"], table)
 
 
 def category_to_json(c: FinCat) -> dict:
@@ -405,7 +398,7 @@ def validate_functor(fun: Functor, cod: FinCat | None = None, dom: FinCat | None
             return Verdict(False, "object image missing", (o,))
     for m in d.morphisms.values():
         fm = fun.mor_map.get(m.id)
-        if fm not in c.morphisms:
+        if not isinstance(fm, str) or fm not in c.morphisms:
             return Verdict(False, "morphism image missing", (m.id,))
         img = c.morphisms[fm]
         if img.src != fun.obj_map[m.src] or img.tgt != fun.obj_map[m.tgt]:

@@ -31,7 +31,7 @@ from .fincat import (
     validate_category,
     validate_functor,
 )
-from .records import Record, json_field, json_records, setfield
+from .records import Record, read, setfield
 
 
 class InvalidPseudoFunctor(ValueError):
@@ -74,7 +74,7 @@ def _is_natural(fib_src: FinCat, fib_tgt: FinCat, fun1: Functor, fun2: Functor, 
     """components[s]: fun1(s) -> fun2(s) natural in s, all isos required."""
     for s in fib_src.objects:
         comp = components.get(s)
-        if comp is None or comp not in fib_tgt.morphisms:
+        if not isinstance(comp, str) or comp not in fib_tgt.morphisms:
             return Verdict(False, "missing component", (s,))
         mor = fib_tgt.morphisms[comp]
         if mor.src != fun1.obj_map[s] or mor.tgt != fun2.obj_map[s]:
@@ -358,45 +358,32 @@ def pseudofunctor_to_json(p: PseudoFunctor) -> dict:
     }
 
 
+# the base and the fibers are categories, each read against ``CATEGORY``
+PSEUDOFUNCTOR = {
+    "base": None,
+    "fibers": {str: None},
+    "pullbacks": {str: {"onObjects": {str: None}, "onMorphisms": {str: None}}},
+    "alpha": [{"f": str, "g": str, "components": {str: None}}],
+    "epsilon": {str: {str: None}},
+}
+
+
 def pseudofunctor_from_json(raw: dict) -> PseudoFunctor:
-    try:
-        return _pseudofunctor_from_records(raw)
-    except (AttributeError, KeyError, TypeError, ValueError):
-        _check_pseudofunctor_shape(raw)
-        raise
-
-
-def _check_pseudofunctor_shape(raw: dict):
-    """Name the first missing or ill-kinded entry, once reading has failed."""
-    if "base" not in raw:
-        raise InvalidPseudoFunctor("missing 'base'")
-    base = validate_category(raw["base"])
-    fibers = json_field(raw, "fibers", dict, InvalidPseudoFunctor)
-    for S in base.objects:
-        if S not in fibers:
-            raise InvalidPseudoFunctor(f"fibers: missing {S!r}")
-        validate_category(fibers[S])
-    pullbacks = json_field(raw, "pullbacks", dict, InvalidPseudoFunctor)
-    for f, fun in pullbacks.items():
-        if f not in base.morphisms:
-            raise InvalidPseudoFunctor(f"pullbacks: {f!r} is not an arrow of the base")
-        json_field(pullbacks, f, dict, InvalidPseudoFunctor, "pullbacks")
-        json_field(fun, "onObjects", dict, InvalidPseudoFunctor, f"pullbacks.{f}")
-        json_field(fun, "onMorphisms", dict, InvalidPseudoFunctor, f"pullbacks.{f}")
-    for n, entry in enumerate(json_records(raw, "alpha", ("f", "g", "components"), InvalidPseudoFunctor)):
-        json_field(entry, "components", dict, InvalidPseudoFunctor, f"alpha[{n}]")
-    epsilon = json_field(raw, "epsilon", dict, InvalidPseudoFunctor)
-    for S in epsilon:
-        json_field(epsilon, S, dict, InvalidPseudoFunctor, "epsilon")
+    return read(raw, PSEUDOFUNCTOR, _pseudofunctor_from_records, InvalidPseudoFunctor)
 
 
 def _pseudofunctor_from_records(raw: dict) -> PseudoFunctor:
     base = validate_category(raw["base"])
-    fibers = {S: validate_category(raw["fibers"][S]) for S in base.objects}
-    pullbacks = {
-        f: functor_from_json(raw["pullbacks"][f], fibers[base.tgt(f)], fibers[base.src(f)])
-        for f in raw["pullbacks"]
-    }
+    fibers = {}
+    for S in base.objects:
+        if S not in raw["fibers"]:
+            raise InvalidPseudoFunctor(f"fibers: missing {S!r}")
+        fibers[S] = validate_category(raw["fibers"][S])
+    pullbacks = {}
+    for f in raw["pullbacks"]:
+        if f not in base.morphisms:
+            raise InvalidPseudoFunctor(f"pullbacks: {f!r} is not an arrow of the base")
+        pullbacks[f] = functor_from_json(raw["pullbacks"][f], fibers[base.tgt(f)], fibers[base.src(f)])
     alpha = {(entry["f"], entry["g"]): dict(entry["components"]) for entry in raw["alpha"]}
     epsilon = {S: dict(raw["epsilon"][S]) for S in raw["epsilon"]}
     return PseudoFunctor(base, fibers, pullbacks, epsilon, alpha)

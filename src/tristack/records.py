@@ -13,10 +13,14 @@ from ``__slots__`` and gives every record:
 - ``vars()``, ``copy`` and ``pickle`` over the fields.
 
 ``OrderedRecord`` adds the four orderings, over the field tuples of two
-instances of the same class.  ``json_field`` and ``json_records`` check
-the shape of the JSON a record is read from, naming the path of the
-first bad entry; loaders call them once reading has failed, so
-well-formed input pays nothing.
+instances of the same class.
+
+Every input file format has one schema, a constant beside its loader.
+``read`` runs a loader and, only once reading has failed, ``walk``
+names the first path that does not fit the schema
+(``edges[0].chart[1]: missing 't'``), so well-formed input pays nothing.
+The schema holds JSON kinds and required keys only; whether an id names
+an arrow, an object or a piece of the same file is the loader's to say.
 
 The methods are written once here rather than generated per class:
 generating them as source text and compiling it at every import, as the
@@ -111,31 +115,61 @@ class Verdict(Record):
 # -- the shape of JSON input ---------------------------------------------------
 
 
-def json_field(raw: dict, key: str, kind: type, error: type, at: str = ""):
-    """``raw[key]``, checked to be there and a JSON list, object or string (``kind``).
+def walk(value, node, error, at: str = ""):
+    """Raise ``error`` naming the first path below ``at`` where ``value`` does not fit ``node``.
 
-    ``at`` is the path of ``raw`` itself, e.g. ``"edges[0]"``; the
-    ``error`` raised names the path of the missing or ill-kinded value.
+    A node is ``str`` or ``int`` (a string, an integer), ``None`` (anything),
+    ``[S]`` (a list of S; ``[noun, S]`` says ``expected <noun>`` of a value
+    that is no list), ``(noun, S1, ..., Sn)`` (a list of exactly n entries,
+    the k-th an Sk), ``{key: S, ...}`` (an object with these keys, a key
+    written ``"key?"`` optional), ``{str: S}`` (an object with any keys) or
+    ``(names, S)`` with ``names`` a frozenset (one of the names if a
+    string, else an S).  Recursion follows the schema, not the data.
     """
-    if key not in raw:
-        raise error(f"{at}: missing {key!r}" if at else f"missing {key!r}")
-    value = raw[key]
-    if not isinstance(value, kind):
-        raise error(f"{at}.{key}: expected {_KINDS[kind]}" if at else f"{key}: expected {_KINDS[kind]}")
-    return value
+    if node is None:
+        return
+    where, prefix = (f"{at}: ", f"{at}.") if at else ("", "")
+    if node is str or node is int:
+        if type(value) is not node:  # a JSON true is no integer
+            raise error(where + ("expected a string" if node is str else "expected an integer"))
+    elif isinstance(node, dict):
+        if not isinstance(value, dict):
+            raise error(f"{where}expected an object")
+        if str in node:
+            for key, item in value.items():
+                walk(item, node[str], error, prefix + key)
+            return
+        for key in node:
+            if not key.endswith("?") and key not in value:
+                raise error(f"{where}missing {key!r}")
+        for key, sub in node.items():
+            key = key.rstrip("?")
+            if key in value:
+                walk(value[key], sub, error, prefix + key)
+    elif isinstance(node, list):
+        noun, item = node if len(node) == 2 else ("a list", node[0])
+        if not isinstance(value, list):
+            raise error(f"{where}expected {noun}")
+        for n, entry in enumerate(value if item is not None else ()):
+            walk(entry, item, error, f"{at}[{n}]")
+    elif isinstance(node[0], frozenset):
+        names, other = node
+        if not isinstance(value, str):
+            walk(value, other, error, at)
+        elif value not in names:
+            raise error(f"{where}{value!r} is not one of {', '.join(sorted(names))}")
+    else:
+        noun, *items = node
+        if not isinstance(value, list) or len(value) != len(items):
+            raise error(f"{where}expected {noun}")
+        for n, (entry, item) in enumerate(zip(value, items)):
+            walk(entry, item, error, f"{at}[{n}]")
 
 
-def json_records(raw: dict, key: str, fields, error: type, at: str = "") -> list:
-    """``raw[key]`` checked to be a list of objects that each have ``fields``."""
-    items = json_field(raw, key, list, error, at)
-    path = f"{at}.{key}" if at else key
-    for n, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise error(f"{path}[{n}]: expected an object")
-        for field in fields:
-            if field not in item:
-                raise error(f"{path}[{n}]: missing {field!r}")
-    return items
-
-
-_KINDS = {list: "a list", dict: "an object", str: "a string"}
+def read(raw, schema, reader, error):
+    """``reader(raw)``; once it fails, the first path of ``raw`` that ``schema`` rejects, if any."""
+    try:
+        return reader(raw)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        walk(raw, schema, error)
+        raise

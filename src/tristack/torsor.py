@@ -28,7 +28,7 @@ from .families import (
     make_chart,
     validate_family,
 )
-from .records import Record, Verdict, json_field, json_records, setfield
+from .records import Record, Verdict, read, setfield
 from .trigeo import PERMS, TriangleLengths, act, inverse as perm_inverse
 
 
@@ -378,6 +378,9 @@ def validate_glue_data(g: GlueData) -> Verdict:
         table = g.transitions.get((i, j), {})
         if set(table) != overlap:
             return Verdict(False, "transition table does not match the overlap", (i, j))
+        for e, x in table.items():
+            if x not in grp.elements:
+                return Verdict(False, "transition not a group element", (i, j, e))
         for e in overlap:
             if e in base.edges:
                 ed = base.edges[e]
@@ -485,12 +488,14 @@ def validate_pair(p: TorsorPair) -> TorsorPair:
     if not v.ok:
         raise InvalidPair(v.witness)
     for eid, e in p.torsor.base.edges.items():
-        chart = p.charts[eid]
-        if act(p.glue_from[eid], chart[0][1]) != p.vertex_refs[e.frm]:
+        chart, gf, gt = p.charts.get(eid), p.glue_from.get(eid), p.glue_to.get(eid)
+        if not chart or gf not in PERMS or gt not in PERMS or not {e.frm, e.to} <= p.vertex_refs.keys():
+            raise InvalidPair(("edge lacks a chart, end permutations or vertex sheet tables", eid))
+        if act(gf, chart[0][1]) != p.vertex_refs[e.frm]:
             raise InvalidPair(("chart start does not reach the vertex reference", eid))
-        if act(p.glue_to[eid], chart[-1][1]) != p.vertex_refs[e.to]:
+        if act(gt, chart[-1][1]) != p.vertex_refs[e.to]:
             raise InvalidPair(("chart end does not reach the vertex reference", eid))
-        want = trigeo.compose(p.glue_to[eid], perm_inverse(p.glue_from[eid]))
+        want = trigeo.compose(gt, perm_inverse(gf))
         if p.torsor.transitions[eid] != want:
             raise InvalidPair(("transition disagrees with the chart identifications", eid))
     return p
@@ -581,40 +586,24 @@ def torsor_to_json(t: TorsorCocycle) -> dict:
     }
 
 
+# a torsor file; the pair and glue-data files extend it
+TORSOR = {
+    "base": {
+        "vertices": [str],
+        "edges": [{"id": str, "from": str, "to": str}],
+        "faces?": [{"id": str, "boundary": [("[edge, direction]", str, None)]}],
+    },
+    "group": (frozenset(BUILTIN_GROUPS), {"elements": [str], "mul": [("[a, b, ab]", str, str, str)]}),
+    "transitions": {str: None},
+}
+
+
 def torsor_from_json(raw: dict) -> TorsorCocycle:
-    try:
-        return TorsorCocycle(
-            complex_from_json(raw["base"]),
-            group_from_json(raw["group"]),
-            dict(raw["transitions"]),
-        )
-    except (KeyError, TypeError, ValueError):
-        _check_torsor_shape(raw, dict)
-        raise
+    return read(raw, TORSOR, _torsor_from_records, TorsorError)
 
 
-def _check_torsor_shape(raw: dict, transitions: type):
-    """Name the first missing or ill-kinded entry of a torsor, pair or glue file.
-
-    Called once reading has failed, so well-formed files pay nothing;
-    ``transitions`` is the JSON kind the file keeps them in.
-    """
-    base = json_field(raw, "base", dict, TorsorError)
-    json_field(base, "vertices", list, TorsorError, "base")
-    json_records(base, "edges", ("id", "from", "to"), TorsorError, "base")
-    if "faces" in base:
-        json_records(base, "faces", ("id", "boundary"), TorsorError, "base")
-    if "group" not in raw:
-        raise TorsorError("missing 'group'")
-    group = raw["group"]
-    if isinstance(group, str):
-        if group not in BUILTIN_GROUPS:
-            raise TorsorError(f"group: {group!r} is not one of {', '.join(sorted(BUILTIN_GROUPS))}")
-    else:
-        json_field(raw, "group", dict, TorsorError)
-        json_field(group, "elements", list, TorsorError, "group")
-        json_field(group, "mul", list, TorsorError, "group")
-    json_field(raw, "transitions", transitions, TorsorError)
+def _torsor_from_records(raw: dict) -> TorsorCocycle:
+    return TorsorCocycle(complex_from_json(raw["base"]), group_from_json(raw["group"]), dict(raw["transitions"]))
 
 
 def pair_to_json(p: TorsorPair) -> dict:
@@ -632,23 +621,18 @@ def pair_to_json(p: TorsorPair) -> dict:
     return data
 
 
+PAIR = {
+    **TORSOR,
+    "equivariant": {str: dict.fromkeys(PERMS)},
+    "charts": {str: [{"t": None, "lengths": None}]},
+    "glueFrom": {str: str},
+    "glueTo": {str: str},
+}
+
+
 def pair_from_json(raw: dict) -> TorsorPair:
     torsor = torsor_from_json(raw)
-    try:
-        return _pair_from_records(raw, torsor)
-    except (AttributeError, KeyError, TypeError, ValueError):
-        equivariant = json_field(raw, "equivariant", dict, TorsorError)
-        for v, table in equivariant.items():
-            json_field(equivariant, v, dict, TorsorError, "equivariant")
-            for s in PERMS:
-                if s not in table:
-                    raise TorsorError(f"equivariant.{v}: missing {s!r}")
-        charts = json_field(raw, "charts", dict, TorsorError)
-        for e in charts:
-            json_records(charts, e, ("t", "lengths"), TorsorError, "charts")
-        json_field(raw, "glueFrom", dict, TorsorError)
-        json_field(raw, "glueTo", dict, TorsorError)
-        raise
+    return read(raw, PAIR, lambda raw: _pair_from_records(raw, torsor), TorsorError)
 
 
 def _pair_from_records(raw: dict, torsor: TorsorCocycle) -> TorsorPair:
@@ -681,20 +665,21 @@ def glue_data_to_json(g: GlueData) -> dict:
     }
 
 
-def glue_data_from_json(raw: dict) -> GlueData:
-    try:
-        return GlueData(
-            complex_from_json(raw["base"]),
-            group_from_json(raw["group"]),
-            tuple(frozenset(cells) for cells in raw["pieces"]),
-            {(e["i"], e["j"]): dict(e["cells"]) for e in raw["transitions"]},
-        )
-    except (KeyError, TypeError, ValueError):
-        _check_torsor_shape(raw, list)
-        for n, cells in enumerate(json_field(raw, "pieces", list, TorsorError)):
-            if not isinstance(cells, list):
-                raise TorsorError(f"pieces[{n}]: expected a list of cells")
-        for n, e in enumerate(json_records(raw, "transitions", ("i", "j", "cells"), TorsorError)):
-            json_field(e, "cells", dict, TorsorError, f"transitions[{n}]")
-        raise
+GLUE_DATA = {
+    **TORSOR,
+    "pieces": [["a list of cells", str]],
+    "transitions": [{"i": int, "j": int, "cells": {str: None}}],
+}
 
+
+def glue_data_from_json(raw: dict) -> GlueData:
+    return read(raw, GLUE_DATA, _glue_data_from_records, TorsorError)
+
+
+def _glue_data_from_records(raw: dict) -> GlueData:
+    return GlueData(
+        complex_from_json(raw["base"]),
+        group_from_json(raw["group"]),
+        tuple(frozenset(cells) for cells in raw["pieces"]),
+        {(e["i"], e["j"]): dict(e["cells"]) for e in raw["transitions"]},
+    )

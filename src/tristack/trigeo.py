@@ -287,9 +287,13 @@ def rational_from_text(text: str, where: str, error) -> Fraction:
     if not RATIONAL_SHAPE.fullmatch(text):
         raise error(f"{where}: {text!r} is not a rational p/q")
     num, _, den = text.partition("/")
-    if den and int(den) == 0:
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # more digits than the interpreter converts
+        raise error(f"{where}: {text[:16]}... has too many digits") from None
+    if den == 0:
         raise error(f"{where}: {text!r} divides by zero")
-    return Fraction(int(num), int(den or 1))
+    return Fraction(num, den)
 
 
 class RationalReader:

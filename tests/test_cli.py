@@ -417,6 +417,7 @@ class TestInputContract:
             (lambda raw: raw.update(vertices="x"), "vertices: expected a list"),
             (lambda raw: raw["vertices"].__setitem__(0, 5), "vertices[0]: expected an object"),
             (lambda raw: raw["edges"][0].update(chart={}), "edges[0].chart: expected a list"),
+            (lambda raw: raw["vertices"][0].update(id=["v"]), "vertices[0].id: expected a string"),
         ]
 
     @pytest.mark.parametrize("command", ["orientable", "family-iso", "coarse-check"])
@@ -457,6 +458,10 @@ class TestInputContract:
             (lambda cat: cat["compose"].__setitem__(0, ["a"]), "compose[0]: expected [g, f, gf]"),
             (lambda cat: cat.update(identities=[]), "identities: expected an object"),
             (lambda cat: cat.update(objects=5), "objects: expected a list"),
+            (lambda cat: cat["objects"].__setitem__(0, 1), "objects[0]: expected a string"),
+            (lambda cat: cat["identities"].pop("X"), "identities: missing 'X'"),
+            (lambda cat: cat["identities"].update(X="X<=X"), "identities.X: 'X<=X' is not an arrow X -> X"),
+            (lambda cat: cat["identities"].update(X="u1<=X"), "identities.X: 'u1<=X' is not an arrow X -> X"),
         ]
         for breakage, message in cases:
             raw = json.loads(json.dumps(site))
@@ -498,6 +503,7 @@ class TestInputContract:
             (lambda raw: raw.update(group="Q8"), "group: 'Q8' is not one of S3, Z2, Z3"),
             (lambda raw: raw.update(group={"elements": ["e"]}), "group: missing 'mul'"),
             (lambda raw: raw.update(pieces=[5]), "pieces[0]: expected a list of cells"),
+            (lambda raw: raw["pieces"][0].__setitem__(0, ["a0"]), "pieces[0][0]: expected a string"),
             (lambda raw: raw["transitions"][0].pop("cells"), "transitions[0]: missing 'cells'"),
             (lambda raw: raw["transitions"][0].update(cells=5), "transitions[0].cells: expected an object"),
         ]
@@ -554,6 +560,52 @@ class TestInputContract:
             raw = {k: v for k, v in d.items() if k != key}
             with pytest.raises(families.FamilyError, match=f"^missing '{key}'$"):
                 deform.deformation_from_json(raw)
+
+    @staticmethod
+    def circle_glue():
+        return torsor.GlueData(
+            corpus.circle_base(2), torsor.group_s3(),
+            (frozenset({"a0", "a1", "e0"}), frozenset({"a0", "a1", "e1"})),
+            {(0, 1): {"a0": "(ABC)", "a1": "(AB)"}},
+        )
+
+    def test_glue_value_outside_the_group_is_a_verdict(self, tmp_path, capsys):
+        raw = torsor.glue_data_to_json(self.circle_glue())
+        raw["transitions"][0]["cells"]["a0"] = "zz"
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(raw))
+        code, out = run(capsys, "descent-glue", str(p))
+        assert code == 1
+        assert out.strip() == "rejected: cocycle fails at (('transition not a group element', 0, 1, 'a0'),)"
+
+    def test_star_cover_table_outside_the_group_is_a_verdict(self, tmp_path, capsys):
+        base = corpus.circle_base(3)
+        glued = torsor.TorsorCocycle(base, torsor.group_s3(), dict.fromkeys(base.edges, "e"))
+        raw = torsor.glue_data_to_json(corpus.glue_data_from_torsor(glued))
+        table = raw["transitions"][-1]
+        table["cells"] = dict.fromkeys(table["cells"], "zz")
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(raw))
+        code, out = run(capsys, "--json", str(tmp_path / "r.json"), "descent-glue", str(p))
+        assert code == 1 and "transition not a group element" in out
+        report = json.loads((tmp_path / "r.json").read_text())["report"]
+        cell = next(iter(table["cells"]))
+        assert report["witness"] == [["transition not a group element", table["i"], table["j"], cell]]
+
+    @pytest.mark.parametrize("path", [("pullbacks", "g:s", "onMorphisms", "g:s"), ("alpha", 0, "components", "*")])
+    def test_pseudofunctor_entry_that_is_no_id_is_a_verdict(self, tmp_path, capsys, path):
+        raw = grothendieck.pseudofunctor_to_json(corpus.cocycle_pseudofunctor("Z2", "Z2", {}))
+        table = raw
+        for key in path[:-1]:
+            table = table[key]
+        table[path[-1]] = [table[path[-1]]]
+        p = tmp_path / "psf.json"
+        p.write_text(json.dumps(raw))
+        code, out = run(capsys, "groth-roundtrip", str(p))
+        assert code == 1 and out.startswith("pseudo-functor invalid: ")
+
+    def test_overlong_number_exits_two(self, capsys):
+        self.assert_malformed(capsys, ["classify", "1", "1", "9" * 5000], "has too many digits")
 
 
 class TestPlotData:

@@ -34,8 +34,10 @@ from tristack.torsor import (
     torsor_morphism_check,
     torsor_to_json,
     torsor_pair_to_family,
+    validate_glue_data,
     validate_torsor,
 )
+from tristack.records import Verdict
 from tristack import trigeo
 
 
@@ -182,6 +184,15 @@ class TestGlueDescent:
         s3 = group_s3()
         expected = s3.mul(h, s3.inverse(g))
         assert (not triv and triv.monodromy == expected) or (triv and expected == "e")
+
+    def test_value_outside_the_group_rejected(self):
+        base = circle_complex()
+        arcs = (frozenset({"a0", "a1", "e0"}), frozenset({"a0", "a1", "e1"}))
+        for value in ("zz", ["e"], None):
+            data = GlueData(base, group_s3(), arcs, {(0, 1): {"a0": value, "a1": "(AB)"}})
+            assert validate_glue_data(data) == Verdict(False, "transition not a group element", (0, 1, "a0"))
+            with pytest.raises(CocycleFails):
+                glue_descent(data)
 
     def test_cocycle_failure_rejected(self):
         base = triangle_complex()
