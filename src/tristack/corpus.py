@@ -113,6 +113,26 @@ def site_three_atoms() -> FiniteSite:
     return jointly_covering_site(base, {x: pred_for(x) for x in base.objects})
 
 
+def site_of_opens(opens) -> FiniteSite:
+    """Opens of a finite space (point sets of single digits) ordered by inclusion,
+    where a family covers U when its pieces make up U.  The empty open is
+    named "0" and any other "u" and its points, e.g. "u13"."""
+    points = {("u" + "".join(map(str, sorted(u))) if u else "0"): frozenset(u) for u in opens}
+    base = poset_category([(a, b) for a in points for b in points if points[a] < points[b]], objects=sorted(points))
+
+    def pred_for(x):
+        return lambda fam: frozenset().union(*(points[base.src(iota)] for iota in fam)) == points[x]
+
+    return jointly_covering_site(base, {x: pred_for(x) for x in base.objects})
+
+
+def site_discrete_space(n: int) -> FiniteSite:
+    """Every subset of the points 1..n is open: 2^n objects, 3^n arrows."""
+    return site_of_opens(itertools.chain.from_iterable(
+        itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
+    ))
+
+
 # -- discrete fibrations from presheaves --------------------------------------
 
 

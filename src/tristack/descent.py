@@ -12,7 +12,10 @@ data only up to canonical isomorphism, so both choices are pinned.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 
 from .fincat import (
     FinCat,
@@ -60,15 +63,31 @@ class FiniteSite:
         self.coverings = {
             x: sorted({_canonical_family(fam) for fam in fams}) for x, fams in coverings.items()
         }
+        self._listed = {x: set(fams) for x, fams in self.coverings.items()}
         self._chosen = dict(pullback_choice or {})
+        # squares chosen here are taken on trust; ``site_from_json`` checks those of a file
+        self.genuine_pullbacks = not self._chosen
         self._tables = {}
         self._triples = {}
+        self._sieves = None
 
     def families(self, x: str):
         return list(self.coverings.get(x, ()))
 
     def has_family(self, x: str, fam) -> bool:
-        return _canonical_family(fam) in self.coverings.get(x, ())
+        return _canonical_family(fam) in self._listed.get(x, ())
+
+    def sieves(self) -> dict | None:
+        """The sieve table ``{x: _Sieves}`` of every object, built on first use and kept.
+
+        None when a listed family holds an arrow that does not end at its object.
+        """
+        if self._sieves is None:
+            try:
+                self._sieves = {x: _Sieves(self.base, x, self.families(x)) for x in self.base.objects}
+            except KeyError:
+                self._sieves = {}
+        return self._sieves or None
 
     def chosen_pullback(self, f: str, g: str) -> PullbackSquare:
         key = (f, g)
@@ -112,11 +131,164 @@ class FiniteSite:
         return self._triples[(i, j, k)]
 
 
+class _Sieves:
+    """The sieves on one object x of a site, as bit masks over the arrows into x.
+
+    ``principal[a]`` is the sieve ⟨a⟩ that an arrow a into x generates, and
+    ``through[a]`` pairs, for each arrow k into the source of a, the bit of
+    a∘k here with the bit of k in the sieves on that source.  ``covering``
+    maps each covering sieve S, a sieve some listed family generates, to
+    the first such family; its keys are J(x), in the order of those
+    families.  ``listed`` counts the listed families.
+    """
+
+    def __init__(self, base: FinCat, x: str, families):
+        self.arrows = base.into_obj(x)
+        self.bit = {a: 1 << n for n, a in enumerate(self.arrows)}
+        self.through = {
+            a: [(self.bit[base.compose(a, k)], 1 << n) for n, k in enumerate(base.into_obj(base.src(a)))]
+            for a in self.arrows
+        }
+        self.principal = {a: _union(c for c, _ in pairs) for a, pairs in self.through.items()}
+        self.above = dict.fromkeys(self.arrows, 0)  # above[a]: the arrows b with a in ⟨b⟩
+        for b, sieve in self.principal.items():
+            for a in self.arrows:
+                if sieve & self.bit[a]:
+                    self.above[a] |= self.bit[b]
+        self.full = (1 << len(self.arrows)) - 1
+        self.covering = {}
+        for fam in families:
+            self.covering.setdefault(self.sieve(fam), fam)
+        self.listed = len(families)
+
+    def sieve(self, fam) -> int:
+        return _union(map(self.principal.__getitem__, fam))
+
+    def pull(self, f: str, sieve: int) -> int:
+        """f*S: the arrows k into the source of f with f∘k in S."""
+        return sum(b for c, b in self.through[f] if c & sieve)
+
+    def push(self, iota: str, sieve: int) -> int:
+        """ι∘S: the composites with ι of the arrows of a sieve S on the source of ι."""
+        return _union(c for c, b in self.through[iota] if b & sieve)
+
+    def classes(self, sieve: int) -> set:
+        """The maximal classes of the factorization preorder on S (a <= b iff a = b∘k).
+
+        A subset of S generates S exactly when it meets each of them.
+        """
+        out = set()
+        for a in self.arrows:
+            up = self.above[a] & sieve
+            if self.bit[a] & sieve and not up & ~self.principal[a]:
+                out.add(up)
+        return out
+
+    def determined(self) -> bool:
+        """Whether a family is listed exactly when its sieve is in J(x).
+
+        S has Π_C (2^|C| - 1) · 2^(|S| - Σ|C|) generating families, C over its
+        maximal classes, so the table lists all of them exactly when these
+        numbers add up to the number of listed families.
+        """
+        total = 0
+        for sieve in self.covering:
+            sizes = [c.bit_count() for c in self.classes(sieve)]
+            total += math.prod((1 << n) - 1 for n in sizes) << (sieve.bit_count() - sum(sizes))
+        return total == self.listed
+
+    def least(self, fam, sieve: int) -> tuple:
+        """The least subfamily of fam that generates S: its first arrow in each maximal class."""
+        keep = {next(a for a in fam if self.bit[a] & c) for c in self.classes(sieve)}
+        return tuple(a for a in fam if a in keep)
+
+    def minimal_sieves(self) -> list:
+        """The inclusion-minimal covering sieves."""
+        return [s for s in self.covering if not any(t != s and t & s == t for t in self.covering)]
+
+    def minimal_families(self):
+        """The inclusion-minimal listed families of a sieve-determined table whose
+        J(x) is upward closed: one arrow from each maximal class of a covering
+        sieve, such that leaving out any one arrow leaves no covering sieve."""
+        for sieve in self.covering:
+            per_class = [[a for a in self.arrows if self.bit[a] & c] for c in self.classes(sieve)]
+            for fam in itertools.product(*per_class):
+                if not any(self.sieve(fam[:n] + fam[n + 1:]) in self.covering for n in range(len(fam))):
+                    yield fam
+
+
+def _union(masks) -> int:
+    return functools.reduce(operator.or_, masks, 0)
+
+
+def _pullbacks_exist(site: FiniteSite, table: dict) -> bool:
+    """Whether every arrow into x has a pullback along every arrow of a covering
+    sieve of x (the pullbacks T2 needs, and each overlap descent reads).
+
+    An isomorphism has a pullback along every arrow, and (f, g) has one
+    exactly when (g, f) has, so each pair of other arrows is tried once.
+    """
+    base = site.base
+    for s in table.values():
+        covered = _union(s.covering)
+        others = [a for a in s.arrows if not base.is_iso(a)]
+        for f in others:
+            for iota in others:
+                if s.bit[iota] & covered and (f <= iota or not s.bit[f] & covered):
+                    try:
+                        site.chosen_pullback(f, iota)
+                    except MissingPullback:
+                        return False
+    return True
+
+
+def _sieves_decide_site(site: FiniteSite) -> bool:
+    """Whether the sieve table proves T2 and T3 of a site with well-typed
+    families that passed T1, so that max(x) = ⟨id_x⟩ is in J(x), the
+    covering sieves of x.
+
+    It can when (a) the table is sieve-determined, (b) the chosen squares
+    are genuine pullbacks and (c) every pullback T2 needs exists.  Then:
+    - T2 holds iff f*S is in J(src f) for every S in J(x) and f into x, as
+      a family pulled back along genuine pullbacks generates f* of its sieve;
+    - T3 makes J upward closed (cover by {id_x} ∪ R, and let id_x choose
+      a family of S ⊆ R), and once it is, T3 holds iff it holds on the
+      inclusion-minimal families, each piece choosing among the
+      inclusion-minimal covering sieves of its source, since the composite
+      sieve grows with the family and with each choice.
+    False sends ``validate_site`` to its literal scans.
+    """
+    table = site.sieves()
+    if not table or not site.genuine_pullbacks or not all(s.determined() for s in table.values()):
+        return False
+    base = site.base
+    for s in table.values():
+        for f in s.arrows:
+            pulled = table[base.src(f)].covering
+            if not all(s.pull(f, sieve) in pulled for sieve in s.covering):
+                return False
+        if not all(sieve | p in s.covering for sieve in s.covering for p in s.principal.values()):
+            return False
+    minimal = {x: s.minimal_sieves() for x, s in table.items()}
+    for s in table.values():
+        for fam in s.minimal_families():
+            # only the distinct partial unions, as in the literal T3 fold
+            unions = {0}
+            for iota in fam:
+                pushed = {s.push(iota, sieve) for sieve in minimal[base.src(iota)]}
+                unions = {u | p for u in unions for p in pushed}
+            if not all(u in s.covering for u in unions):
+                return False
+    return _pullbacks_exist(site, table)
+
+
 def validate_site(site: FiniteSite) -> Verdict:
     """Covering axioms T1-T3 with the first failing instance as witness.
 
-    A pullback that T2 needs and the base lacks raises MissingPullback
-    with the instance (x, family, f, iota).
+    After T1, the sieve table decides a site that ``_sieves_decide_site``
+    can prove valid; any other runs the literal scans, which name the first
+    failing instance.  A pullback that T2 needs and the base lacks raises
+    MissingPullback with the instance (x, family, f, iota).
     """
     base = site.base
     for x, fams in site.coverings.items():
@@ -126,13 +298,13 @@ def validate_site(site: FiniteSite) -> Verdict:
             for iota in fam:
                 if iota not in base.morphisms or base.tgt(iota) != x:
                     return Verdict(False, "covering arrow has wrong target", (x, iota))
-            if len(set(fam)) != len(fam):
-                return Verdict(False, "covering family repeats an arrow", (x, fam))
 
     # (T1) isomorphism singletons
     for m in base.morphisms:
         if base.is_iso(m) and not site.has_family(base.tgt(m), (m,)):
             return Verdict(False, "T1 fails: isomorphism singleton missing", (m,))
+    if _sieves_decide_site(site):
+        return Verdict(True)
 
     # (T2) stability under the chosen pullbacks
     for x in base.objects:
@@ -550,6 +722,35 @@ class StackVerdict(Record):
         return self.status == "stack"
 
 
+def _descent_fault(site: FiniteSite, transport: Transport, coverings) -> StackVerdict | None:
+    """The verdict of the first covering (x, family) along which descent fails, or None.
+
+    The comparison functor is checked to be fully faithful along every
+    covering first, and then every descent datum to be effective.
+    """
+    compiled = []
+    for x, fam in coverings:
+        fib_x = transport.fiber(x)
+        cov = _Covering(site, transport, x, fam)
+        compiled.append(cov)
+        for e1 in sorted(fib_x.objects):
+            c1 = cov.comparison(e1)
+            for e2 in sorted(fib_x.objects):
+                homs = fib_x.hom(e1, e2)
+                table = factorization_table(
+                    homs, [tuple(transport.restrict_mor(iota, u) for iota in fam) for u in homs]
+                )
+                if table is None:
+                    return StackVerdict("neither", (x, fam, e1, e2, "not faithful"))
+                if table.keys() != {tuple(m.values()) for m in cov.morphisms(c1, cov.comparison(e2))}:
+                    return StackVerdict("neither", (x, fam, e1, e2, "not full"))
+    for cov in compiled:
+        for datum in cov.descent_data():
+            if next(cov.effectiveness_witnesses(complete_datum(site, transport, datum)), None) is None:
+                return StackVerdict("prestack-only", (cov.x, cov.family, datum.objects))
+    return None
+
+
 def stack_verdict(site: FiniteSite, transport: Transport) -> StackVerdict:
     """Comparison-functor verdict over every covering of a site that passed ``validate_site``.
 
@@ -557,41 +758,38 @@ def stack_verdict(site: FiniteSite, transport: Transport) -> StackVerdict:
     is bijective.  Stack: additionally every datum passing the cocycle
     check is effective.
 
-    Descent along a family depends only on the sieve it generates (with
-    genuine pullbacks, which ``validate_site`` and ``site_from_json``
-    ensure), so two families with one sieve pass or fail together.  Only
+    Descent along a family depends only on the sieve it generates when
+    the chosen squares are genuine pullbacks, so the sieve table decides
+    "stack" on a site whose squares are genuine and exist (conditions (b)
+    and (c) of ``_sieves_decide_site``).  A maximal sieve is generated by
+    {id_x}, along which descent is an equivalence, so it is skipped; every
+    other sieve is checked along the least subfamily of its first family
+    that still generates it.  Otherwise, or when that finds a fault, only
     the first family of each sieve over x is compiled and checked, once
     for both halves; a later one could fail only where its first already
     has, so the first failing family and its witness are unchanged.
     """
-    base = site.base
-    coverings = []
-    for x in sorted(base.objects):
-        fib_x = transport.fiber(x)
-        sieves = set()
-        for fam in site.families(x):
-            sieve = frozenset(base.compose(iota, k) for iota in fam for k in base.into_obj(base.src(iota)))
-            if sieve in sieves:
-                continue
-            sieves.add(sieve)
-            cov = _Covering(site, transport, x, fam)
-            coverings.append(cov)
-            for e1 in sorted(fib_x.objects):
-                c1 = cov.comparison(e1)
-                for e2 in sorted(fib_x.objects):
-                    homs = fib_x.hom(e1, e2)
-                    table = factorization_table(
-                        homs, [tuple(transport.restrict_mor(iota, u) for iota in fam) for u in homs]
-                    )
-                    if table is None:
-                        return StackVerdict("neither", (x, fam, e1, e2, "not faithful"))
-                    if table.keys() != {tuple(m.values()) for m in cov.morphisms(c1, cov.comparison(e2))}:
-                        return StackVerdict("neither", (x, fam, e1, e2, "not full"))
-    for cov in coverings:
-        for datum in cov.descent_data():
-            if next(cov.effectiveness_witnesses(complete_datum(site, transport, datum)), None) is None:
-                return StackVerdict("prestack-only", (cov.x, cov.family, datum.objects))
-    return StackVerdict("stack")
+    table = site.sieves()
+    if table and site.genuine_pullbacks and _pullbacks_exist(site, table):
+        least = [
+            (x, s.least(fam, sieve)) for x, s in sorted(table.items()) for sieve, fam in s.covering.items()
+            if sieve != s.full
+        ]
+        if _descent_fault(site, transport, least) is None:
+            return StackVerdict("stack")
+    if table:
+        firsts = [(x, fam) for x, s in sorted(table.items()) for fam in s.covering.values()]
+    else:  # a family with an arrow into another object: its sieve as a set of composites
+        base, firsts = site.base, []
+        for x in sorted(base.objects):
+            sieves = set()
+            for fam in site.families(x):
+                sieve = frozenset(base.compose(iota, k) for iota in fam for k in base.into_obj(base.src(iota)))
+                if sieve not in sieves:
+                    sieves.add(sieve)
+                    firsts.append((x, fam))
+    fault = _descent_fault(site, transport, firsts)
+    return StackVerdict("stack") if fault is None else fault
 
 
 # -- files ---------------------------------------------------------------------
@@ -663,8 +861,9 @@ SITE = {
 def site_from_json(raw: dict) -> FiniteSite:
     walk(raw, SITE, SiteError)
     base = validate_category(raw["base"])
-    coverings = _given_coverings(base, raw["coverings"])
-    return FiniteSite(base, coverings, _given_squares(base, raw.get("pullbacks", [])))
+    site = FiniteSite(base, _given_coverings(base, raw["coverings"]), _given_squares(base, raw.get("pullbacks", [])))
+    site.genuine_pullbacks = True  # each given square was checked to be a pullback
+    return site
 
 
 def datum_from_json(raw: dict) -> DescentDatum:

@@ -381,7 +381,7 @@ def validate_glue_data(g: GlueData) -> Verdict:
         for e, x in table.items():
             if x not in grp.elements:
                 return Verdict(False, "transition not a group element", (i, j, e))
-        for e in overlap:
+        for e in sorted(overlap):
             if e in base.edges:
                 ed = base.edges[e]
                 if table[e] != table[ed.frm] or table[e] != table[ed.to]:
@@ -393,7 +393,7 @@ def validate_glue_data(g: GlueData) -> Verdict:
     triples = {t for idxs in owners for t in itertools.combinations(idxs, 3)}
     for i, j, k in sorted(triples):
         triple = g.pieces[i] & g.pieces[j] & g.pieces[k]
-        for cell in triple:
+        for cell in sorted(triple):
             lhs = grp.mul(g.alpha(j, i, cell), g.alpha(k, j, cell))
             if lhs != g.alpha(k, i, cell):
                 return Verdict(False, "cocycle fails on a triple overlap", (i, j, k, cell))

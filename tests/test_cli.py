@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -127,6 +128,34 @@ class TestSiteAndStack:
             )
         code, out = run(capsys, "stack-check", str(p))
         assert code == 0 and "stack" in out
+
+    def test_four_point_space(self, tmp_path, capsys):
+        """The discrete 4-point space: 16 opens and 65,535 covering families, 64,594 of the whole space."""
+        site = descent.site_to_json(corpus.site_discrete_space(4))
+        p, q = tmp_path / "site.json", tmp_path / "stack.json"
+        p.write_text(json.dumps(site))
+        q.write_text(json.dumps({"site": site, "fibered": {"kind": "slice", "object": "u1234"}}))
+        code, out = run(capsys, "site-check", str(p))
+        assert (code, out) == (0, "site axioms T1-T3 hold\n")
+        code, out = run(capsys, "stack-check", str(q))
+        assert (code, out) == (0, "verdict: stack\n")
+
+    def test_a_repeated_arrow_is_listed_once(self, tmp_path, capsys):
+        """A family that lists an arrow twice is the family with it once, valid or not."""
+        raw = descent.site_to_json(corpus.site_two_point_space())
+        outs = []
+        for extra in ([], ["u1<=X"]):
+            for fam in (["u1<=X", "u2<=X"] + extra, ["0<=u1", "0<=u1"] + extra):
+                for repeat in (False, True):
+                    changed = json.loads(json.dumps(raw))
+                    x = "X" if fam[0].endswith("X") else "u1"
+                    changed["coverings"][x] = [f for f in changed["coverings"][x] if sorted(f) != sorted(set(fam))]
+                    changed["coverings"][x].append(fam if repeat else sorted(set(fam)))
+                    p = tmp_path / "site.json"
+                    p.write_text(json.dumps(changed))
+                    outs.append(run(capsys, "site-check", str(p)))
+        assert outs[0::2] == outs[1::2]
+        assert {code for code, _ in outs} == {0, 1}
 
     def test_stack_check_total_kind(self, tmp_path, capsys):
         from tristack.grothendieck import pseudofunctor_to_json, strict_pseudofunctor
@@ -628,6 +657,15 @@ class TestPlotData:
         assert target.read_text().startswith("x,y,z,region\n")
 
 
+def glue_with_several_failing_cells():
+    """Glue data over a 4-cycle whose two pieces are the whole base, (AB) on every edge and
+    e on every vertex: every edge fails, and the first one named must not depend on hashing."""
+    base = corpus.circle_base(4)
+    cells = frozenset(base.cells())
+    table = {c: "(AB)" if c in base.edges else "e" for c in sorted(cells)}
+    return torsor.GlueData(base, torsor.group_s3(), (cells, cells), {(0, 1): table})
+
+
 class TestMachineReports:
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -637,6 +675,40 @@ class TestMachineReports:
         code2, _ = run(capsys, "--json", str(p2), *echoed)
         assert code1 == code2 == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Every subcommand in its own process under two string hash seeds: the same
+        --json bytes.  An in-process rerun shares one seed, so it cannot see this."""
+        site = descent.site_to_json(corpus.site_three_atoms())
+        circle = torsor.GlueData(
+            corpus.circle_base(2), torsor.group_s3(),
+            (frozenset({"a0", "a1", "e0"}), frozenset({"a0", "a1", "e1"})),
+            {(0, 1): {"a0": "(ABC)", "a1": "(AB)"}},
+        )
+        inputs = {
+            "family": families.family_to_json(families.fixture_remark25()[0]),
+            "glue": torsor.glue_data_to_json(circle),
+            "cells": torsor.glue_data_to_json(glue_with_several_failing_cells()),
+            "psf": grothendieck.pseudofunctor_to_json(corpus.cocycle_pseudofunctor("Z2", "Z2", {})),
+            "site": site,
+            "stack": {"site": site, "fibered": {"kind": "slice", "object": "X"}},
+        }
+        paths = {}
+        for name, raw in inputs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(raw))
+        for argv in [argv for argv, _ in SUBCOMMAND_LAYERS] + [["descent-glue", "{cells}"]]:
+            args = [a.format(**paths) for a in argv]
+            reports = []
+            for seed in ("1", "2"):
+                out = tmp_path / f"report-{seed}.json"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "tristack", "--json", str(out), *args],
+                    env=dict(os.environ, PYTHONHASHSEED=seed), capture_output=True, text=True,
+                )
+                assert proc.returncode in (0, 1), proc.stderr
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1], argv
 
     def test_report_contents(self, tmp_path, capsys):
         p = tmp_path / "r.json"

@@ -49,7 +49,7 @@ def oracle_validate_glue_data(g):
             table = g.transitions.get((i, j), {})
             if set(table) != overlap:
                 return Verdict(False, "transition table does not match the overlap", (i, j))
-            for e in overlap:
+            for e in sorted(overlap):
                 if e in base.edges:
                     ed = base.edges[e]
                     if table[e] != table[ed.frm] or table[e] != table[ed.to]:
@@ -59,7 +59,7 @@ def oracle_validate_glue_data(g):
                         if table[e] != table[eid]:
                             return Verdict(False, "transition not constant along a face", (i, j, e))
     for i, j, k in itertools.combinations(range(len(g.pieces)), 3):
-        for cell in g.pieces[i] & g.pieces[j] & g.pieces[k]:
+        for cell in sorted(g.pieces[i] & g.pieces[j] & g.pieces[k]):
             if grp.mul(g.alpha(j, i, cell), g.alpha(k, j, cell)) != g.alpha(k, i, cell):
                 return Verdict(False, "cocycle fails on a triple overlap", (i, j, k, cell))
     return Verdict(True)

@@ -18,7 +18,12 @@ The stack verdict, which checks one family per sieve, is also compared
 on sites over bases that are not posets (groups, posets times a group, a
 parallel pair, the opposite of small finite sets), where one sieve has
 several families.  Light's generating set and test are compared with the
-pairwise closure and the per-triple check they replaced.  The oracles
+pairwise closure and the per-triple check they replaced.  The literal
+site scans and stack loop that the sieve table now decides without are
+kept verbatim too (``literal_validate_site``, ``literal_stack_verdict``),
+and both decisions must match them on spaces of opens, on sieve-determined
+tables and tables one family short of that, on the non-poset bases and on
+a site whose chosen squares were not checked.  The oracles
 run only where they take milliseconds (no chain-6, sites of at most four
 objects, constant presheaves with at most three elements); S5 meets only
 the generating-set oracle.
@@ -286,6 +291,7 @@ def fresh(site: FiniteSite, coverings=None) -> FiniteSite:
 def assert_same_site_verdict(site: FiniteSite):
     old = outcome(oracle_validate_site, fresh(site))
     new = outcome(descent.validate_site, fresh(site))
+    assert new == outcome(literal_validate_site, fresh(site))
     if old[0] is MissingPullback:
         # the pruned check names the whole T2 instance (x, family, f, iota)
         assert new[0] is MissingPullback and new[1][0][2:] == old[1][0]
@@ -491,6 +497,7 @@ class TestDescent:
         for label, site, transport in CASES:
             old = outcome(oracle_stack_verdict, site, transport)
             assert outcome(descent.stack_verdict, site, transport) == old, label
+            assert outcome(literal_stack_verdict, site, transport) == old, label
             statuses.add(reason_of(old))
         assert statuses == {"stack", "prestack-only", "neither"}
 
@@ -556,6 +563,7 @@ class TestDescent:
         proj = presheaf(base, values, lambda a, e: e)
         transport = Transport(proj)
         assert outcome(descent.stack_verdict, site, transport) == outcome(oracle_stack_verdict, site, transport)
+        assert outcome(literal_stack_verdict, site, transport) == outcome(oracle_stack_verdict, site, transport)
         for x in base.objects:
             for fam in site.families(x):
                 kept = [d for d in oracle_all_descent_data(site, transport, x, fam)
@@ -721,6 +729,8 @@ class TestSievesOnNonPosetBases:
     def test_hypothesis_non_poset_sites(self, data):
         site, transport = non_poset_case(lambda xs: data.draw(st.sampled_from(xs)))
         assert outcome(descent.stack_verdict, site, transport) == outcome(oracle_stack_verdict, site, transport)
+        assert outcome(literal_stack_verdict, site, transport) == outcome(oracle_stack_verdict, site, transport)
+        assert outcome(descent.validate_site, fresh(site)) == outcome(literal_validate_site, fresh(site))
 
     def test_the_cases_share_sieves_and_fail(self):
         """Seeded cases of the same builder: every verdict and witness agree with the oracle,
@@ -731,6 +741,7 @@ class TestSievesOnNonPosetBases:
             site, transport = non_poset_case(rng.choice, name)
             new = outcome(descent.stack_verdict, site, transport)
             assert new == outcome(oracle_stack_verdict, site, transport)
+            assert new == outcome(literal_stack_verdict, site, transport)
             statuses.add(reason_of(new))
             verdict = descent.stack_verdict(site, transport)
             if verdict.witness:
@@ -765,6 +776,262 @@ class TestSievesOnNonPosetBases:
         raw = {"base": fincat.category_to_json(base), "coverings": {}, "pullbacks": [square]}
         with pytest.raises(descent.SiteError, match=r"^pullbacks\[0\]: the square is not a pullback$"):
             descent.site_from_json(raw)
+
+
+# -- sites decided by sieve ----------------------------------------------------------------
+#
+# ``validate_site`` and ``stack_verdict`` read the site's sieve table and fall
+# back to the literal scans kept verbatim at the end of this file.  Both must
+# agree with those scans on sieve-determined tables (every family whose sieve
+# covers is listed) and on tables that are not, on spaces of opens, on the
+# non-poset bases above and on a site whose chosen squares are not checked.
+
+
+def all_sieves(base: FinCat, x) -> list:
+    """Every sieve on x: the sets of arrows into x closed under precomposition."""
+    arrows = sorted(base.into_obj(x))
+    subsets = (frozenset(sub) for r in range(len(arrows) + 1) for sub in itertools.combinations(arrows, r))
+    return [s for s in subsets if all(base.compose(a, k) in s for a in s for k in base.into_obj(base.src(a)))]
+
+
+def sieve_site(base: FinCat, covering_sieves: dict) -> FiniteSite:
+    """The sieve-determined site listing, over each x, every family (the empty one
+    included) whose sieve is in ``covering_sieves[x]``."""
+    coverings = {}
+    for x in base.objects:
+        arrows = sorted(base.into_obj(x))
+        fams = (fam for r in range(len(arrows) + 1) for fam in itertools.combinations(arrows, r))
+        coverings[x] = [fam for fam in fams if sieve_of(base, fam) in covering_sieves[x]]
+    return FiniteSite(base, coverings)
+
+
+def pulled(base: FinCat, f, sieve) -> frozenset:
+    return frozenset(k for k in base.into_obj(base.src(f)) if base.compose(f, k) in sieve)
+
+
+def closed_sieves(base: FinCat, sieves: dict, top: bool, upward: bool, stable: bool) -> dict:
+    """The covering sieves with, as asked, every maximal sieve, every sieve above a
+    covering one, and every pullback of a covering sieve added."""
+    out = {x: set(ss) for x, ss in sieves.items()}
+    for x in base.objects:
+        if top:
+            out[x].add(frozenset(base.into_obj(x)))
+    changed = True
+    while changed and (upward or stable):
+        changed = False
+        for x in base.objects:
+            new = set()
+            if upward:
+                new |= {t for t in all_sieves(base, x) if any(s <= t for s in out[x])}
+            for y in base.objects if stable else ():
+                new |= {pulled(base, f, s) for s in out[y] for f in base.into_obj(y) if base.src(f) == x}
+            if not new <= out[x]:
+                out[x] |= new
+                changed = True
+    return out
+
+
+def sieve_bases():
+    """Small bases whose objects have at most eight arrows into them."""
+    named = {
+        "two-point": corpus.site_two_point_space().base,
+        "three-atoms": corpus.site_three_atoms().base,
+        "chain-3": corpus.site_chain(3).base,
+        "no-meet": poset_category([("a", "x"), ("b", "x")]),
+    }
+    named.update((name, non_poset_base(name)[0]) for name in ("point x Z2", "point x Z3", "chain-3 x Z2"))
+    return named
+
+
+SIEVE_BASES = sieve_bases()
+
+
+def sieve_table(pick, name=None):
+    """A sieve-determined site on one of ``SIEVE_BASES``; ``pick`` chooses from a list."""
+    base = SIEVE_BASES[name or pick(sorted(SIEVE_BASES))]
+    sieves = {x: {s for s in all_sieves(base, x) if pick([False, False, True])} for x in base.objects}
+    flags = [pick([False, True, True]) for _ in range(3)]
+    return sieve_site(base, closed_sieves(base, sieves, *flags))
+
+
+def less_one_family(site: FiniteSite, pick):
+    """The site less one listed family, and whether that family was the only one of its
+    sieve (only then is the table still sieve-determined)."""
+    x = pick(sorted(x for x, fams in site.coverings.items() if fams))
+    fam = pick(site.coverings[x])
+    coverings = dict(site.coverings)
+    coverings[x] = [f for f in coverings[x] if f != fam]
+    return FiniteSite(site.base, coverings), sieve_sizes(site, x)[sieve_of(site.base, fam)] == 1
+
+
+def assert_same_as_literal(site: FiniteSite):
+    """Both checks of a site agree with the literal scans, errors and their arguments included."""
+    new = outcome(descent.validate_site, fresh(site))
+    assert new == outcome(literal_validate_site, fresh(site))
+    return new
+
+
+def opens_of(n, rule=lambda u: True):
+    return [u for r in range(n + 1) for u in itertools.combinations(range(1, n + 1), r) if rule(u)]
+
+
+def spaces():
+    """The discrete 2- and 3-point spaces and a 3-point space whose opens with 3 hold 1."""
+    return {
+        "discrete-2": corpus.site_discrete_space(2),
+        "discrete-3": corpus.site_discrete_space(3),
+        "not-discrete-3": corpus.site_of_opens(opens_of(3, lambda u: 3 not in u or 1 in u)),
+    }
+
+
+def compiled_coverings(monkeypatch):
+    """The (x, family) of every covering ``stack_verdict`` compiles, in order."""
+    seen = []
+
+    class Recording(descent._Covering):
+        def __init__(self, site, transport, x, family):
+            seen.append((x, tuple(family)))
+            super().__init__(site, transport, x, family)
+
+    monkeypatch.setattr(descent, "_Covering", Recording)
+    return seen
+
+
+class TestSitesBySieve:
+    def test_spaces(self):
+        for name, site in spaces().items():
+            assert site.sieves() and all(s.determined() for s in site.sieves().values()), name
+            assert assert_same_as_literal(site) == ("returned", repr(Verdict(True))), name
+            for kind, transport in transports(name, site).items():
+                if name == "discrete-2" or kind in ("slice", "const-1", "const-2"):
+                    new = outcome(descent.stack_verdict, site, transport)
+                    assert new == outcome(literal_stack_verdict, site, transport), (name, kind)
+        assert_same_site_verdict(spaces()["discrete-2"])
+
+    def test_spaces_less_one_family(self):
+        """Every family of the 2-point space and a seeded sample of the others left out in turn."""
+        rng = random.Random(17)
+        reasons = set()
+        for name, site in spaces().items():
+            listed = [(x, fam) for x, fams in sorted(site.coverings.items()) for fam in fams]
+            for x, fam in listed if name == "discrete-2" else rng.sample(listed, 10):
+                coverings = dict(site.coverings)
+                coverings[x] = [f for f in coverings[x] if f != fam]
+                reasons.add(reason_of(assert_same_as_literal(FiniteSite(site.base, coverings))))
+        assert {"T1 fails", "T2 fails", "T3 fails"} <= reasons
+
+    @HYPOTHESIS
+    @given(st.data())
+    def test_hypothesis_sieve_determined_tables(self, data):
+        def pick(xs):
+            return data.draw(st.sampled_from(xs))
+
+        site = sieve_table(pick)
+        assert all(s.determined() for s in site.sieves().values())
+        assert_same_as_literal(site)
+        if any(site.coverings.values()):
+            less, alone = less_one_family(site, pick)
+            assert all(s.determined() for s in less.sieves().values()) == alone
+            assert_same_as_literal(less)
+
+    def test_seeded_sieve_tables(self):
+        """Seeded tables reach every verdict; the sieve table decides every valid one, and on
+        those the stack verdict agrees too."""
+        rng = random.Random(23)
+        reasons, valid, decided = Counter(), 0, 0
+        for name in sorted(SIEVE_BASES) * 12:
+            site = sieve_table(rng.choice, name)
+            new = assert_same_as_literal(site)
+            reasons[reason_of(new)] += 1
+            if new == ("returned", repr(Verdict(True))):
+                valid += 1
+                decided += descent._sieves_decide_site(fresh(site))
+                proj = elements_fibration(site.base, *corpus.constant_presheaf(site.base, ["a", "b"]))[1]
+                transport = Transport(proj)
+                assert outcome(descent.stack_verdict, site, transport) == outcome(
+                    literal_stack_verdict, site, transport
+                ), name
+            if site.coverings and any(site.coverings.values()):
+                reasons[reason_of(assert_same_as_literal(less_one_family(site, rng.choice)[0]))] += 1
+        assert {None, "T1 fails", "T2 fails", "T3 fails", MissingPullback} <= set(reasons)
+        assert decided == valid > 10
+
+    def test_a_topology_that_is_not_upward_closed(self):
+        """J(X) = {max, ⟨0<=X⟩} on the opens of the two-point space passes T1, T2 and T3 on
+        its inclusion-minimal families, but {id_X, u1<=X} with {0<=X} chosen for id_X
+        composes to ⟨u1<=X⟩, which does not cover: T3 fails."""
+        base = corpus.site_two_point_space().base
+        covering = {
+            "X": {frozenset(base.into_obj("X")), frozenset({"0<=X"})},
+            "u1": {frozenset({"0<=u1", "id_u1"}), frozenset({"0<=u1"})},
+            "u2": {frozenset({"0<=u2", "id_u2"}), frozenset({"0<=u2"})},
+            "0": {frozenset({"id_0"})},
+        }
+        site = sieve_site(base, covering)
+        assert not descent._sieves_decide_site(fresh(site))
+        verdict = descent.validate_site(fresh(site))
+        assert verdict.reason == "T3 fails: composed family not a covering"
+        assert assert_same_site_verdict(site) == ("returned", repr(verdict))
+
+    def test_an_idempotent_has_no_kernel_pair(self):
+        """{id, e} with e∘e = e: the table is sieve-determined and T1-T3 hold on sieves, but
+        e is not monic and (e, e) has no pullback, so T2 cannot be checked."""
+        table = {("id_*", "id_*"): "id_*", ("id_*", "e"): "e", ("e", "id_*"): "e", ("e", "e"): "e"}
+        base = FinCat(["*"], [Morphism("id_*", "*", "*"), Morphism("e", "*", "*")], {"*": "id_*"}, table)
+        site = FiniteSite(base, {"*": [["id_*"], ["e", "id_*"]]})
+        assert all(s.determined() for s in site.sieves().values())
+        assert assert_same_as_literal(site) == (MissingPullback, (("*", ("e", "id_*"), "e", "e"),))
+
+    def test_squares_chosen_in_python_are_not_trusted(self, monkeypatch):
+        """A commuting square that is not a pullback, chosen for (u1<=X, id_X): the site takes
+        the literal scans, which find T2 failing, and descent checks every sieve's first family."""
+        site = corpus.site_two_point_space()
+        square = PullbackSquare("0", "0<=u1", "0<=X")
+        assert not fincat.is_pullback(site.base, "u1<=X", "id_X", square)
+        built = FiniteSite(site.base, site.coverings, {("u1<=X", "id_X"): square})
+        assert not built.genuine_pullbacks
+        assert outcome(descent.validate_site, built) == outcome(
+            literal_validate_site, FiniteSite(site.base, site.coverings, {("u1<=X", "id_X"): square})
+        ) == ("returned", repr(Verdict(False, "T2 fails: pulled-back family not a covering",
+                                       ("X", ("0<=X", "id_X"), "u1<=X"))))
+        transport = Transport(slice_category(site.base, "X")[1])
+        seen = compiled_coverings(monkeypatch)
+        new = outcome(descent.stack_verdict, built, transport)
+        firsts = list(seen)
+        assert new == outcome(literal_stack_verdict, built, transport)
+        assert firsts == seen[len(firsts):] and ("X", ("0<=X", "id_X")) in firsts
+
+    def test_a_family_into_another_object(self):
+        """A family at X holding an arrow into u1 has no sieve on X, so the site has no sieve
+        table and the stack verdict runs the literal loop, error and all."""
+        site = corpus.site_two_point_space()
+        for fam in [("0<=u1",), ("0<=X", "0<=u1")]:
+            bad = FiniteSite(site.base, {**site.coverings, "X": site.coverings["X"] + [fam]})
+            assert bad.sieves() is None
+            for transport in transports("two-point", site).values():
+                assert outcome(descent.stack_verdict, bad, transport) == outcome(
+                    literal_stack_verdict, bad, transport
+                )
+
+    def test_stack_checks_the_least_family_of_each_sieve_not_maximal(self, monkeypatch):
+        """On the three atoms, only the sieve of the three atoms is not maximal, and its first
+        family (0<=X, u1<=X, u2<=X, u3<=X) is checked as (u1<=X, u2<=X, u3<=X)."""
+        site = descent.site_from_json(descent.site_to_json(corpus.site_three_atoms()))
+        assert site.genuine_pullbacks and descent.validate_site(site).ok
+        proj = elements_fibration(site.base, *corpus.constant_presheaf(site.base, ["a", "b", "c"]))[1]
+        seen = compiled_coverings(monkeypatch)
+        assert descent.stack_verdict(site, Transport(proj)) == StackVerdict("stack")
+        assert seen == [("X", ("u1<=X", "u2<=X", "u3<=X"))]
+
+    def test_a_failing_stack_verdict_reruns_the_literal_loop(self, monkeypatch):
+        """The least families find the fault first; the first family of each sieve names it."""
+        site = corpus.site_two_point_space()
+        transport = transports("two-point", site)["truncated"]
+        seen = compiled_coverings(monkeypatch)
+        new = outcome(descent.stack_verdict, site, transport)
+        assert new == outcome(oracle_stack_verdict, site, transport)
+        assert reason_of(new) == "prestack-only"
+        assert seen[0] == ("X", ("u1<=X", "u2<=X")) and ("X", ("0<=X", "u1<=X", "u2<=X")) in seen
 
 
 # -- oracles: the exhaustive checks, verbatim -----------------------------------------------
@@ -1185,3 +1452,112 @@ def oracle_stack_verdict(site: FiniteSite, transport: Transport) -> StackVerdict
                     return StackVerdict("prestack-only", (x, fam, datum.objects))
     return StackVerdict("stack")
 
+
+# -- the literal scans the sieve table replaces, verbatim -----------------------------------
+
+
+def literal_validate_site(site: FiniteSite) -> Verdict:
+    """Covering axioms T1-T3 with the first failing instance as witness.
+
+    A pullback that T2 needs and the base lacks raises MissingPullback
+    with the instance (x, family, f, iota).
+    """
+    base = site.base
+    for x, fams in site.coverings.items():
+        if x not in base.objects:
+            return Verdict(False, "covering of unknown object", (x,))
+        for fam in fams:
+            for iota in fam:
+                if iota not in base.morphisms or base.tgt(iota) != x:
+                    return Verdict(False, "covering arrow has wrong target", (x, iota))
+            if len(set(fam)) != len(fam):
+                return Verdict(False, "covering family repeats an arrow", (x, fam))
+
+    # (T1) isomorphism singletons
+    for m in base.morphisms:
+        if base.is_iso(m) and not site.has_family(base.tgt(m), (m,)):
+            return Verdict(False, "T1 fails: isomorphism singleton missing", (m,))
+
+    # (T2) stability under the chosen pullbacks
+    for x in base.objects:
+        for fam in site.families(x):
+            for f in base.into_obj(x):
+                pulled = []
+                for iota in fam:
+                    try:
+                        sq = site.chosen_pullback(f, iota)
+                    except MissingPullback:
+                        raise MissingPullback((x, fam, f, iota)) from None
+                    pulled.append(sq.to_left)
+                if not site.has_family(base.src(f), pulled):
+                    return Verdict(False, "T2 fails: pulled-back family not a covering", (x, fam, f))
+
+    # (T3) composition of coverings.  Whether a choice of one covering per
+    # piece composes to a covering depends only on the union of the
+    # composites, so the pieces are folded in one at a time and each
+    # distinct partial union keeps only its lexicographically first prefix.
+    # Two prefixes with one union extend alike, so the first failing choice
+    # of the full product survives, and it comes first among the survivors.
+    for x in base.objects:
+        for fam in site.families(x):
+            unions = {frozenset(): ()}
+            for iota in fam:
+                subs = [
+                    (sub, frozenset(base.compose(iota, phi) for phi in sub))
+                    for sub in site.families(base.src(iota))
+                ]
+                grown = {}
+                for union, prefix in unions.items():
+                    for sub, composed in subs:
+                        key = union | composed
+                        if key not in grown:
+                            grown[key] = prefix + (sub,)
+                unions = grown
+            for union, choice in unions.items():
+                if not site.has_family(x, union):
+                    return Verdict(False, "T3 fails: composed family not a covering", (x, fam, choice))
+    return Verdict(True)
+
+
+def literal_stack_verdict(site: FiniteSite, transport: Transport) -> StackVerdict:
+    """Comparison-functor verdict over every covering of a site that passed ``validate_site``.
+
+    Prestack: for all global pairs the map into descent-datum morphisms
+    is bijective.  Stack: additionally every datum passing the cocycle
+    check is effective.
+
+    Descent along a family depends only on the sieve it generates (with
+    genuine pullbacks, which ``validate_site`` and ``site_from_json``
+    ensure), so two families with one sieve pass or fail together.  Only
+    the first family of each sieve over x is compiled and checked, once
+    for both halves; a later one could fail only where its first already
+    has, so the first failing family and its witness are unchanged.
+    """
+    base = site.base
+    coverings = []
+    for x in sorted(base.objects):
+        fib_x = transport.fiber(x)
+        sieves = set()
+        for fam in site.families(x):
+            sieve = frozenset(base.compose(iota, k) for iota in fam for k in base.into_obj(base.src(iota)))
+            if sieve in sieves:
+                continue
+            sieves.add(sieve)
+            cov = descent._Covering(site, transport, x, fam)
+            coverings.append(cov)
+            for e1 in sorted(fib_x.objects):
+                c1 = cov.comparison(e1)
+                for e2 in sorted(fib_x.objects):
+                    homs = fib_x.hom(e1, e2)
+                    table = fincat.factorization_table(
+                        homs, [tuple(transport.restrict_mor(iota, u) for iota in fam) for u in homs]
+                    )
+                    if table is None:
+                        return StackVerdict("neither", (x, fam, e1, e2, "not faithful"))
+                    if table.keys() != {tuple(m.values()) for m in cov.morphisms(c1, cov.comparison(e2))}:
+                        return StackVerdict("neither", (x, fam, e1, e2, "not full"))
+    for cov in coverings:
+        for datum in cov.descent_data():
+            if next(cov.effectiveness_witnesses(descent.complete_datum(site, transport, datum)), None) is None:
+                return StackVerdict("prestack-only", (cov.x, cov.family, datum.objects))
+    return StackVerdict("stack")
