@@ -64,9 +64,9 @@ class FiniteSite:
             x: sorted({_canonical_family(fam) for fam in fams}) for x, fams in coverings.items()
         }
         self._listed = {x: set(fams) for x, fams in self.coverings.items()}
-        self._chosen = dict(pullback_choice or {})
-        # squares chosen here are taken on trust; ``site_from_json`` checks those of a file
-        self.genuine_pullbacks = not self._chosen
+        self._given = dict(pullback_choice or {})
+        self._chosen = dict(self._given)
+        self._genuine = None
         self._tables = {}
         self._triples = {}
         self._sieves = None
@@ -77,16 +77,25 @@ class FiniteSite:
     def has_family(self, x: str, fam) -> bool:
         return _canonical_family(fam) in self._listed.get(x, ())
 
+    @property
+    def genuine_pullbacks(self) -> bool:
+        """Whether every square of ``pullback_choice`` is a pullback, checked on first use.
+
+        The squares ``chosen_pullback`` adds are computed by ``fincat.pullback``.
+        """
+        if self._genuine is None:
+            self._genuine = all(is_pullback(self.base, f, g, sq) for (f, g), sq in self._given.items())
+        return self._genuine
+
     def sieves(self) -> dict | None:
         """The sieve table ``{x: _Sieves}`` of every object, built on first use and kept.
 
         None when a listed family holds an arrow that does not end at its object.
         """
         if self._sieves is None:
-            try:
-                self._sieves = {x: _Sieves(self.base, x, self.families(x)) for x in self.base.objects}
-            except KeyError:
-                self._sieves = {}
+            base = self.base
+            typed = all(set().union(*self.coverings.get(x, ())) <= set(base.into_obj(x)) for x in base.objects)
+            self._sieves = {x: _Sieves(base, x, self.families(x)) for x in base.objects} if typed else {}
         return self._sieves or None
 
     def chosen_pullback(self, f: str, g: str) -> PullbackSquare:
@@ -777,17 +786,14 @@ def stack_verdict(site: FiniteSite, transport: Transport) -> StackVerdict:
         ]
         if _descent_fault(site, transport, least) is None:
             return StackVerdict("stack")
-    if table:
-        firsts = [(x, fam) for x, s in sorted(table.items()) for fam in s.covering.values()]
-    else:  # a family with an arrow into another object: its sieve as a set of composites
-        base, firsts = site.base, []
-        for x in sorted(base.objects):
-            sieves = set()
-            for fam in site.families(x):
-                sieve = frozenset(base.compose(iota, k) for iota in fam for k in base.into_obj(base.src(iota)))
-                if sieve not in sieves:
-                    sieves.add(sieve)
-                    firsts.append((x, fam))
+    base, firsts = site.base, []
+    for x in sorted(base.objects):
+        sieves = set()
+        for fam in site.families(x):
+            sieve = frozenset(base.compose(iota, k) for iota in fam for k in base.into_obj(base.src(iota)))
+            if sieve not in sieves:
+                sieves.add(sieve)
+                firsts.append((x, fam))
     fault = _descent_fault(site, transport, firsts)
     return StackVerdict("stack") if fault is None else fault
 
@@ -861,9 +867,7 @@ SITE = {
 def site_from_json(raw: dict) -> FiniteSite:
     walk(raw, SITE, SiteError)
     base = validate_category(raw["base"])
-    site = FiniteSite(base, _given_coverings(base, raw["coverings"]), _given_squares(base, raw.get("pullbacks", [])))
-    site.genuine_pullbacks = True  # each given square was checked to be a pullback
-    return site
+    return FiniteSite(base, _given_coverings(base, raw["coverings"]), _given_squares(base, raw.get("pullbacks", [])))
 
 
 def datum_from_json(raw: dict) -> DescentDatum:

@@ -1001,6 +1001,14 @@ class TestSitesBySieve:
         assert new == outcome(literal_stack_verdict, built, transport)
         assert firsts == seen[len(firsts):] and ("X", ("0<=X", "id_X")) in firsts
 
+    def test_pullbacks_chosen_in_python_are_trusted(self):
+        """Genuine squares given in Python, as a file would give them, open the sieve path."""
+        site = corpus.site_two_point_space()
+        descent.validate_site(site)
+        assert site._chosen
+        built = FiniteSite(site.base, site.coverings, site._chosen)
+        assert built.genuine_pullbacks and descent._sieves_decide_site(built)
+
     def test_a_family_into_another_object(self):
         """A family at X holding an arrow into u1 has no sieve on X, so the site has no sieve
         table and the stack verdict runs the literal loop, error and all."""
@@ -1012,6 +1020,14 @@ class TestSitesBySieve:
                 assert outcome(descent.stack_verdict, bad, transport) == outcome(
                     literal_stack_verdict, bad, transport
                 )
+
+    def test_a_broken_composition_table_is_not_read_as_a_stray_family(self):
+        """Unchecked, u1<=X ∘ 0<=u1 entered as 0<=u1 (an arrow into u1): every family ends at
+        its object, so building the table fails loudly instead of answering None."""
+        site = corpus.site_two_point_space()
+        base = unchecked(site.base, {**site.base.table, ("u1<=X", "0<=u1"): "0<=u1"})
+        with pytest.raises(KeyError):
+            FiniteSite(base, site.coverings).sieves()
 
     def test_stack_checks_the_least_family_of_each_sieve_not_maximal(self, monkeypatch):
         """On the three atoms, only the sieve of the three atoms is not maximal, and its first
