@@ -177,7 +177,7 @@ def _lerp(p0, p1, t: Fraction):
 
 def path_value(path, t) -> tuple:
     """The coordinates of the path at t."""
-    t = t if type(t) is Fraction else Fraction(t)
+    t = t if type(t) is Fraction else trigeo._frac(t)
     if not F0 <= t <= F1:
         raise FamilyError(f"chart parameter {t} outside [0,1]")
     i = bisect_left(path, t, key=_time)
@@ -211,7 +211,7 @@ def path_merge(p, q):
 
 def path_reparam(path, a, b) -> tuple:
     """The path of s -> path(a + (b-a) s) with coordinate points; reverses when b < a."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = trigeo._frac(a), trigeo._frac(b)
     if a == b:
         raise FamilyError("degenerate reparametrization")
     start, end = path_value(path, a), path_value(path, b)
@@ -225,9 +225,10 @@ def path_reparam(path, a, b) -> tuple:
 
 
 def make_chart(points) -> tuple:
+    """The chart of (time, triple) pairs built in Python; files are read by ``RationalReader.chart``."""
     out = []
     for t, v in points:
-        t = t if type(t) is Fraction else Fraction(t)
+        t = t if type(t) is Fraction else trigeo._frac(t)
         if not isinstance(v, TriangleLengths):
             v = TriangleLengths(*v)
         out.append((t, v))
@@ -1067,7 +1068,8 @@ def family_to_json(fam: PLFamily) -> dict:
     }
 
 
-# lengths and times are read by ``trigeo.RationalReader``, which names its own faults
+# lengths and whole charts are read by ``trigeo.RationalReader``, which names its
+# own faults and checks the cone and the chart times on integers
 FAMILY = {
     "vertices": [{"id": str, "lengths": None}],
     "edges": [{
@@ -1094,11 +1096,8 @@ def _family_from_records(raw: dict) -> PLFamily:
         except NotInM as err:
             raise FiberNotInM((v["id"], v["lengths"])) from err
     for e in raw["edges"]:
-        where = f"edge {e['id']}"
         try:
-            charts[e["id"]] = make_chart(
-                [(read.rational(pt["t"], where), read.lengths(pt["lengths"], where)) for pt in e["chart"]]
-            )
+            charts[e["id"]] = read.chart(e["chart"], f"edge {e['id']}")
         except NotInM as err:
             raise FiberNotInM((e["id"], e["chart"])) from err
     gf = {e["id"]: e.get("glueFrom", "e") for e in raw["edges"]}

@@ -25,7 +25,6 @@ from .families import (
     PLFamily,
     cycle_through,
     edge_transport,
-    make_chart,
     validate_family,
 )
 from .records import Record, Verdict, read, setfield
@@ -647,8 +646,7 @@ def _pair_from_records(raw: dict, torsor: TorsorCocycle) -> TorsorPair:
         refs[v] = ref
     charts = {}
     for e, pts in raw["charts"].items():
-        where = f"edge {e}"
-        charts[e] = make_chart([(read.rational(pt["t"], where), read.lengths(pt["lengths"], where)) for pt in pts])
+        charts[e] = read.chart(pts, f"edge {e}")
     pair = TorsorPair(torsor, refs, charts, dict(raw["glueFrom"]), dict(raw["glueTo"]))
     return validate_pair(pair)
 

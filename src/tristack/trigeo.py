@@ -98,16 +98,16 @@ def perm_order(g: str) -> int:
 def in_M(t) -> bool:
     """Strict triangle inequalities and positivity for a raw triple."""
     x, y, z = (_frac(v) for v in t)
-    return _interior(x, y, z)
+    p, q, r = x.denominator, y.denominator, z.denominator
+    return _interior(x.numerator * q * r, y.numerator * p * r, z.numerator * p * q)
 
 
-def _interior(x: Fraction, y: Fraction, z: Fraction) -> bool:
-    # On integers, over the common denominator p*q*r > 0.  Positivity needs
-    # no test of its own: adding two strict inequalities gives 2x > 0, etc.
-    a, p = x.numerator, x.denominator
-    b, q = y.numerator, y.denominator
-    c, r = z.numerator, z.denominator
-    a, b, c = a * q * r, b * p * r, c * p * q
+def _interior(a, b, c) -> bool:
+    # The three strict triangle inequalities.  Every caller passes the
+    # lengths as integers over one common denominator (p*q*r > 0 for
+    # lengths with denominators p, q, r), where the test is cheapest.
+    # Positivity needs no test of its own: adding two strict inequalities
+    # gives 2a > 0, etc.
     return a + b > c and a + c > b and b + c > a
 
 
@@ -121,7 +121,8 @@ class TriangleLengths(OrderedRecord):
         setfield(self, "x", x)
         setfield(self, "y", y)
         setfield(self, "z", z)
-        if not _interior(x, y, z):
+        p, q, r = x.denominator, y.denominator, z.denominator
+        if not _interior(x.numerator * q * r, y.numerator * p * r, z.numerator * p * q):
             raise NotInM(f"({x}, {y}, {z}) is not an interior triangle triple")
 
     def astuple(self):
@@ -297,35 +298,73 @@ def rational_from_text(text: str, where: str, error) -> Fraction:
 
 
 class RationalReader:
-    """Reads exact rationals from JSON values for one load.
+    """Reads exact rationals, length triples and charts from JSON values for one load.
 
     Accepted are ints and strings of ``RATIONAL_SHAPE``; floats, bools,
     decimal and exponent strings raise ``error`` naming ``where`` and the
-    value.  The reader remembers every text it parsed, so a length or time
-    repeated across fibers and charts is parsed once per load; make a new
-    reader for every load.
+    value.  The reader memoises every text it parsed as the ``Fraction``
+    together with its numerator and denominator, so a length or time
+    repeated across fibers and charts is parsed once per load, and the cone
+    and time checks compare integers; make a new reader for every load.
     """
 
     def __init__(self, error):
         self.error = error
-        self._memo = {}
+        self._memo = {}  # text -> (Fraction, numerator, denominator)
+
+    def _entry(self, value, where: str) -> tuple:
+        """(q, numerator, denominator) of the rational ``value`` names."""
+        if type(value) is str:
+            entry = self._memo.get(value)
+            if entry is None:
+                q = rational_from_text(value, where, self.error)
+                entry = self._memo[value] = (q, q.numerator, q.denominator)
+            return entry
+        if type(value) is int:
+            return Fraction(value), value, 1
+        raise self.error(f"{where}: {value!r} is not an integer or a 'p/q' string")
 
     def rational(self, value, where: str) -> Fraction:
-        if type(value) is str:
-            q = self._memo.get(value)
-            if q is None:
-                q = self._memo[value] = rational_from_text(value, where, self.error)
-            return q
-        if type(value) is int:
-            return Fraction(value)
-        raise self.error(f"{where}: {value!r} is not an integer or a 'p/q' string")
+        return self._entry(value, where)[0]
 
     def lengths(self, values, where: str) -> TriangleLengths:
         """A triple of lengths; raises NotInM when it is not interior to M."""
         if not isinstance(values, (list, tuple)) or len(values) != 3:
             raise self.error(f"{where}: {values!r} is not a triple of lengths")
-        r = self.rational
-        return TriangleLengths(r(values[0], where), r(values[1], where), r(values[2], where))
+        get, entry = self._memo.get, self._entry
+        u, v, w = values
+        x, a, p = type(u) is str and get(u) or entry(u, where)
+        y, b, q = type(v) is str and get(v) or entry(v, where)
+        z, c, r = type(w) is str and get(w) or entry(w, where)
+        if not _interior(a * q * r, b * p * r, c * p * q):
+            raise NotInM(f"({x}, {y}, {z}) is not an interior triangle triple")
+        out = object.__new__(TriangleLengths)  # checked above, as the constructor would
+        setfield(out, "x", x)
+        setfield(out, "y", y)
+        setfield(out, "z", z)
+        return out
+
+    def chart(self, points, where: str) -> tuple:
+        """The chart of JSON points ``{"t": time, "lengths": triple}``.
+
+        Reads every point, then checks that the times start at 0, end at 1
+        and rise strictly, in that order, as ``families.make_chart`` does.
+        """
+        get, entry, lengths = self._memo.get, self._entry, self.lengths
+        out, times = [], []
+        for pt in points:
+            s = pt["t"]
+            t = type(s) is str and get(s) or entry(s, where)
+            out.append((t[0], lengths(pt["lengths"], where)))
+            times.append(t)
+        # a Fraction's denominator is positive and its terms are coprime:
+        # it is 1 exactly when numerator == denominator
+        if not times or times[0][1] != 0 or times[-1][1] != times[-1][2]:
+            raise self.error("chart must start at 0 and end at 1")
+        for (_, n0, d0), (_, n1, d1) in zip(times, times[1:]):
+            if n0 * d1 >= n1 * d0:
+                raise self.error("chart times must increase strictly")
+        return tuple(out)
 
 
 def parse_lengths(sx: str, sy: str, sz: str) -> TriangleLengths:

@@ -8,13 +8,18 @@ triples.  On valid files the two must give equal families (same dict
 order, same fibers); on corrupted files the same first error, by type and
 arguments.  Inexact text (floats, decimals) is outside this comparison:
 the old loader accepted it and the new one rejects it.
+
+``oracle_pair_from_json`` is ``torsor.pair_from_json`` as it was before
+``RationalReader.chart``: every chart point read one by one, then
+``make_chart``.  It is compared the same way, on valid and changed
+``charts`` entries (inexact text included: both readers reject it).
 """
 
 import json
 import random
 from fractions import Fraction
 
-from tristack import corpus, families
+from tristack import corpus, families, torsor
 from tristack.families import (
     BaseGraph,
     Edge,
@@ -24,7 +29,8 @@ from tristack.families import (
     PLFamily,
     make_chart,
 )
-from tristack.trigeo import PERMS, NotInM, TriangleLengths, act_tuple
+from tristack.records import read
+from tristack.trigeo import PERMS, NotInM, RationalReader, TriangleLengths, act, act_tuple
 
 
 def _checked_lengths(sx, sy, sz):
@@ -94,11 +100,18 @@ def _degenerate(triple):
     return [str(x), str(y), str(x + y)]
 
 
+KINDS = ["fiber", "point", "order", "start", "end", "glue", "label", "endpoint", "two",
+         "twice", "int-ends", "spelled-ends", "int-end"]
+# valid files with their end times written another way: these must still load
+RESPELLINGS = {"int-ends", "spelled-ends"}
+
+
 def corrupt(rng, raw):
-    """One random corruption of a valid family file, in place."""
-    kind = rng.choice(["fiber", "point", "order", "start", "end", "glue", "label", "endpoint", "two"])
+    """One random corruption of a valid family file, in place; returns its kind."""
+    kind = rng.choice(KINDS)
     e = rng.choice(raw["edges"]) if raw["edges"] else None
     if kind == "fiber" or e is None:
+        kind = "fiber"
         v = rng.choice(raw["vertices"])
         v["lengths"] = _degenerate(v["lengths"])
     elif kind == "point":
@@ -109,7 +122,7 @@ def corrupt(rng, raw):
     elif kind == "start":
         e["chart"][0]["t"] = "1/3"
     elif kind == "end":
-        e["chart"][-1]["t"] = rng.choice(["2", "-1", "3/4"])
+        e["chart"][-1]["t"] = rng.choice(["2", "-1", "3/4", "1/2"])
     elif kind == "glue":
         key = rng.choice(["glueFrom", "glueTo"])
         e[key] = rng.choice([g for g in PERMS if g != e[key]])
@@ -117,6 +130,15 @@ def corrupt(rng, raw):
         e[rng.choice(["glueFrom", "glueTo"])] = "(XY)"
     elif kind == "endpoint":
         e["to"] = "nowhere"
+    elif kind == "twice":
+        # one inner time written two ways
+        e["chart"][1:-1] = [dict(e["chart"][0], t="1/2"), dict(e["chart"][0], t="2/4")]
+    elif kind == "int-ends":
+        e["chart"][0]["t"], e["chart"][-1]["t"] = 0, 1
+    elif kind == "spelled-ends":
+        e["chart"][0]["t"], e["chart"][-1]["t"] = "0/7", "4/4"
+    elif kind == "int-end":
+        e["chart"][-1]["t"] = 2
     else:
         # a bad chart on a later edge and a bad fiber: the fiber is read first
         raw["edges"][-1]["chart"][0]["lengths"] = _degenerate(raw["edges"][-1]["chart"][0]["lengths"])
@@ -139,6 +161,115 @@ class TestLoaderOracle:
             kind = corrupt(rng, raw)
             status = assert_same_outcome(raw)
             kinds.setdefault(kind, set()).add(status)
-        # every corruption was tried and each one made at least one file fail
-        assert set(kinds) == {"fiber", "point", "order", "start", "end", "glue", "label", "endpoint", "two"}
-        assert all("raised" in statuses for statuses in kinds.values())
+        # every kind was tried; each respelling loaded every time, and each
+        # other corruption made at least one file fail
+        assert set(kinds) == set(KINDS)
+        assert all(kinds[kind] == {"loaded"} for kind in RESPELLINGS)
+        assert all("raised" in statuses for kind, statuses in kinds.items() if kind not in RESPELLINGS)
+
+
+# -- the torsor-pair loader -------------------------------------------------------------
+
+
+def oracle_pair_from_json(raw):
+    """``torsor.pair_from_json`` before ``RationalReader.chart``: ``make_chart`` over points read one by one."""
+    cocycle = torsor.torsor_from_json(raw)
+    return read(raw, torsor.PAIR, lambda raw: oracle_pair_from_records(raw, cocycle), torsor.TorsorError)
+
+
+def oracle_pair_from_records(raw, cocycle):
+    rd = RationalReader(FamilyError)
+
+    def lengths(values, where):
+        if not isinstance(values, (list, tuple)) or len(values) != 3:
+            raise FamilyError(f"{where}: {values!r} is not a triple of lengths")
+        return TriangleLengths(rd.rational(values[0], where), rd.rational(values[1], where),
+                               rd.rational(values[2], where))
+
+    refs = {}
+    for v, table in raw["equivariant"].items():
+        ref = lengths(table["e"], f"vertex {v} sheet e")
+        for s in PERMS:
+            if lengths(table[s], f"vertex {v} sheet {s}") != act(torsor.perm_inverse(s), ref):
+                raise torsor.InvalidPair(("equivariance fails", v, s))
+        refs[v] = ref
+    charts = {}
+    for e, pts in raw["charts"].items():
+        where = f"edge {e}"
+        charts[e] = make_chart([(rd.rational(pt["t"], where), lengths(pt["lengths"], where)) for pt in pts])
+    pair = torsor.TorsorPair(cocycle, refs, charts, dict(raw["glueFrom"]), dict(raw["glueTo"]))
+    return torsor.validate_pair(pair)
+
+
+def pair_outcome(load, raw):
+    try:
+        pair = load(json.loads(json.dumps(raw)))
+    except Exception as err:  # the comparison is of whatever is raised first
+        return ("raised", type(err), err.args)
+    # the base has no equality of its own, so the pair is compared as its file
+    return ("loaded", torsor.pair_to_json(pair), pair.charts, list(pair.charts),
+            [[(repr(t), repr(v)) for t, v in chart] for chart in pair.charts.values()])
+
+
+def pair_files():
+    fams = corpus.family_corpus(seed=5, n=30) + [families.fixture_mobius()]
+    return [torsor.pair_to_json(torsor.family_to_torsor_pair(f)) for f in fams]
+
+
+PAIR_KINDS = ["point", "order", "start", "end", "twice", "int-ends", "spelled-ends", "float", "decimal",
+              "shape", "empty", "missing", "zero"]
+
+
+def corrupt_pair_chart(rng, raw):
+    """One random change to one ``charts`` entry of a valid pair file, in place; returns its kind."""
+    kind = rng.choice(PAIR_KINDS)
+    pts = raw["charts"][rng.choice(sorted(raw["charts"]))]
+    pt = rng.choice(pts)
+    if kind == "point":
+        pt["lengths"] = _degenerate(pt["lengths"])
+    elif kind == "order":
+        pts.insert(1, dict(pts[rng.randrange(len(pts) - 1)]))
+    elif kind == "start":
+        pts[0]["t"] = "1/3"
+    elif kind == "end":
+        pts[-1]["t"] = rng.choice(["2", "-1", "3/4", "1/2", 2])
+    elif kind == "twice":
+        pts[1:-1] = [dict(pts[0], t="1/2"), dict(pts[0], t="2/4")]
+    elif kind == "int-ends":
+        pts[0]["t"], pts[-1]["t"] = 0, 1
+    elif kind == "spelled-ends":
+        pts[0]["t"], pts[-1]["t"] = "0/7", "4/4"
+    elif kind == "float":
+        pt["t"] = rng.choice([0.5, 0.0, True])
+    elif kind == "decimal":
+        pt["t"] = rng.choice(["0.5", "1e0", " 1"])
+    elif kind == "shape":
+        pt["lengths"] = pt["lengths"][:2]
+    elif kind == "empty":
+        pts.clear()
+    elif kind == "missing":
+        del pt[rng.choice(["t", "lengths"])]
+    else:
+        pt["lengths"][rng.randrange(3)] = "1/0"
+    return kind
+
+
+class TestPairLoaderOracle:
+    def test_pair_files_load_equal(self):
+        for raw in pair_files():
+            new, old = pair_outcome(torsor.pair_from_json, raw), pair_outcome(oracle_pair_from_json, raw)
+            assert new == old and new[0] == "loaded"
+
+    def test_changed_charts_raise_the_same_first_error(self):
+        rng = random.Random(3)
+        files = [raw for raw in pair_files() if raw["charts"]]
+        kinds = {}
+        for _ in range(300):
+            raw = json.loads(json.dumps(rng.choice(files)))
+            kind = corrupt_pair_chart(rng, raw)
+            new, old = pair_outcome(torsor.pair_from_json, raw), pair_outcome(oracle_pair_from_json, raw)
+            assert new == old
+            kinds.setdefault(kind, set()).add(new[0])
+        assert set(kinds) == set(PAIR_KINDS)
+        assert all(kinds[kind] == {"loaded"} for kind in RESPELLINGS)
+        assert all(kinds[kind] == {"raised"} for kind in set(PAIR_KINDS) - RESPELLINGS)

@@ -367,6 +367,35 @@ class TestEvaluator:
             assert outcome(families.path_value, chart, t) == outcome(oracle_chart_eval_tuple, chart, t)
 
 
+class TestFloatsRejected:
+    """A float time or parameter raises TypeError, as a float length does; nothing rounds it."""
+
+    def test_make_chart(self):
+        t = TriangleLengths(3, 4, 5)
+        with pytest.raises(TypeError, match="^floats are not accepted"):
+            families.make_chart([(0.0, (3, 4, 5)), (1.0, (3, 4, 5))])
+        with pytest.raises(TypeError, match="^floats are not accepted"):
+            families.make_chart([(0, t), (0.5, t), (1, t)])
+        with pytest.raises(TypeError, match="^floats are not accepted"):
+            family(graph(["u", "v"], [("e", "u", "v")]), {"u": t, "v": t}, {"e": [(0, t), (1.0, t)]})
+        assert families.make_chart([(0, (3, 4, 5)), ("1", t)]) == ((F0, t), (F1, t))
+
+    def test_path_value_and_reparam(self):
+        chart = families.make_chart([(0, (3, 4, 5)), (F(1, 2), (4, 4, 5)), (1, (5, 4, 5))])
+        pm = PLMap(graph(["u", "v"], [("e", "u", "v")]), {}, {"e": tuple((t, v.astuple()) for t, v in chart)})
+        for t in (0.25, 0.0, 1.0):
+            for call in (lambda: families.path_value(chart, t), lambda: families.chart_eval(chart, t),
+                         lambda: pm.eval_edge("e", t)):
+                with pytest.raises(TypeError, match="^floats are not accepted"):
+                    call()
+        for a, b in ((0, 0.5), (0.5, 1), (1.0, F(0))):
+            for reparam in (families.path_reparam, families.chart_reparam):
+                with pytest.raises(TypeError, match="^floats are not accepted"):
+                    reparam(chart, a, b)
+        assert families.path_value(chart, F(1, 4)) == (F(7, 2), F(4), F(5))
+        assert families.path_reparam(chart, 0, "1/2") == ((F0, (F(3), F(4), F(5))), (F1, (F(4), F(4), F(5))))
+
+
 class TestReparametrisation:
     def test_chart_reparam(self):
         for chart in CHARTS:
