@@ -232,11 +232,7 @@ def make_chart(points) -> tuple:
         if not isinstance(v, TriangleLengths):
             v = TriangleLengths(*v)
         out.append((t, v))
-    if not out or out[0][0] != 0 or out[-1][0] != 1:
-        raise FamilyError("chart must start at 0 and end at 1")
-    for (t0, _), (t1, _) in zip(out, out[1:]):
-        if not t0 < t1:
-            raise FamilyError("chart times must increase strictly")
+    trigeo.check_chart_times([(t.numerator, t.denominator) for t, _ in out], FamilyError)
     return tuple(out)
 
 

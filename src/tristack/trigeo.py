@@ -98,16 +98,14 @@ def perm_order(g: str) -> int:
 def in_M(t) -> bool:
     """Strict triangle inequalities and positivity for a raw triple."""
     x, y, z = (_frac(v) for v in t)
-    p, q, r = x.denominator, y.denominator, z.denominator
-    return _interior(x.numerator * q * r, y.numerator * p * r, z.numerator * p * q)
+    return _interior(x.numerator, x.denominator, y.numerator, y.denominator, z.numerator, z.denominator)
 
 
-def _interior(a, b, c) -> bool:
-    # The three strict triangle inequalities.  Every caller passes the
-    # lengths as integers over one common denominator (p*q*r > 0 for
-    # lengths with denominators p, q, r), where the test is cheapest.
-    # Positivity needs no test of its own: adding two strict inequalities
-    # gives 2a > 0, etc.
+def _interior(a: int, p: int, b: int, q: int, c: int, r: int) -> bool:
+    """Whether a/p, b/q, c/r (denominators > 0) lie in the open cone M."""
+    # On integers, over the common denominator p*q*r > 0.  Positivity needs
+    # no test of its own: adding two strict inequalities gives 2a > 0, etc.
+    a, b, c = a * q * r, b * p * r, c * p * q
     return a + b > c and a + c > b and b + c > a
 
 
@@ -121,9 +119,17 @@ class TriangleLengths(OrderedRecord):
         setfield(self, "x", x)
         setfield(self, "y", y)
         setfield(self, "z", z)
-        p, q, r = x.denominator, y.denominator, z.denominator
-        if not _interior(x.numerator * q * r, y.numerator * p * r, z.numerator * p * q):
+        if not _interior(x.numerator, x.denominator, y.numerator, y.denominator, z.numerator, z.denominator):
             raise NotInM(f"({x}, {y}, {z}) is not an interior triangle triple")
+
+    @classmethod
+    def _trusted(cls, x: Fraction, y: Fraction, z: Fraction) -> TriangleLengths:
+        """The point (x, y, z) without the cone check, for triples known to lie in M."""
+        out = object.__new__(cls)
+        setfield(out, "x", x)
+        setfield(out, "y", y)
+        setfield(out, "z", z)
+        return out
 
     def astuple(self):
         return (self.x, self.y, self.z)
@@ -163,11 +169,7 @@ def act(g: str, t: TriangleLengths) -> TriangleLengths:
     """
     p = PERM_ACTION[g]
     s = (t.x, t.y, t.z)
-    out = object.__new__(TriangleLengths)
-    object.__setattr__(out, "x", s[p[0]])
-    object.__setattr__(out, "y", s[p[1]])
-    object.__setattr__(out, "z", s[p[2]])
-    return out
+    return TriangleLengths._trusted(s[p[0]], s[p[1]], s[p[2]])
 
 
 def to_N(t: TriangleLengths) -> NPoint:
@@ -297,31 +299,42 @@ def rational_from_text(text: str, where: str, error) -> Fraction:
     return Fraction(num, den)
 
 
+def check_chart_times(times, error) -> None:
+    """Raise ``error`` unless the (numerator, denominator) times start at 0, end at 1 and rise strictly."""
+    # a Fraction's denominator is positive and its terms are coprime:
+    # it is 1 exactly when numerator == denominator
+    if not times or times[0][0] != 0 or times[-1][0] != times[-1][1]:
+        raise error("chart must start at 0 and end at 1")
+    for (n0, d0), (n1, d1) in zip(times, times[1:]):
+        if n0 * d1 >= n1 * d0:
+            raise error("chart times must increase strictly")
+
+
 class RationalReader:
     """Reads exact rationals, length triples and charts from JSON values for one load.
 
     Accepted are ints and strings of ``RATIONAL_SHAPE``; floats, bools,
     decimal and exponent strings raise ``error`` naming ``where`` and the
     value.  The reader memoises every text it parsed as the ``Fraction``
-    together with its numerator and denominator, so a length or time
+    together with its (numerator, denominator) pair, so a length or time
     repeated across fibers and charts is parsed once per load, and the cone
-    and time checks compare integers; make a new reader for every load.
+    and chart-time checks compare integers; make a new reader for every load.
     """
 
     def __init__(self, error):
         self.error = error
-        self._memo = {}  # text -> (Fraction, numerator, denominator)
+        self._memo = {}  # text -> (Fraction, (numerator, denominator))
 
     def _entry(self, value, where: str) -> tuple:
-        """(q, numerator, denominator) of the rational ``value`` names."""
+        """(q, (numerator, denominator)) of the rational ``value`` names."""
         if type(value) is str:
             entry = self._memo.get(value)
             if entry is None:
                 q = rational_from_text(value, where, self.error)
-                entry = self._memo[value] = (q, q.numerator, q.denominator)
+                entry = self._memo[value] = (q, (q.numerator, q.denominator))
             return entry
         if type(value) is int:
-            return Fraction(value), value, 1
+            return Fraction(value), (value, 1)
         raise self.error(f"{where}: {value!r} is not an integer or a 'p/q' string")
 
     def rational(self, value, where: str) -> Fraction:
@@ -331,39 +344,23 @@ class RationalReader:
         """A triple of lengths; raises NotInM when it is not interior to M."""
         if not isinstance(values, (list, tuple)) or len(values) != 3:
             raise self.error(f"{where}: {values!r} is not a triple of lengths")
-        get, entry = self._memo.get, self._entry
-        u, v, w = values
-        x, a, p = type(u) is str and get(u) or entry(u, where)
-        y, b, q = type(v) is str and get(v) or entry(v, where)
-        z, c, r = type(w) is str and get(w) or entry(w, where)
-        if not _interior(a * q * r, b * p * r, c * p * q):
+        entry = self._entry
+        x, (a, p) = entry(values[0], where)
+        y, (b, q) = entry(values[1], where)
+        z, (c, r) = entry(values[2], where)
+        if not _interior(a, p, b, q, c, r):
             raise NotInM(f"({x}, {y}, {z}) is not an interior triangle triple")
-        out = object.__new__(TriangleLengths)  # checked above, as the constructor would
-        setfield(out, "x", x)
-        setfield(out, "y", y)
-        setfield(out, "z", z)
-        return out
+        return TriangleLengths._trusted(x, y, z)
 
     def chart(self, points, where: str) -> tuple:
-        """The chart of JSON points ``{"t": time, "lengths": triple}``.
-
-        Reads every point, then checks that the times start at 0, end at 1
-        and rise strictly, in that order, as ``families.make_chart`` does.
-        """
-        get, entry, lengths = self._memo.get, self._entry, self.lengths
+        """The chart of JSON points ``{"t": time, "lengths": triple}``; reads them all, then checks the times."""
+        entry, lengths = self._entry, self.lengths
         out, times = [], []
         for pt in points:
-            s = pt["t"]
-            t = type(s) is str and get(s) or entry(s, where)
-            out.append((t[0], lengths(pt["lengths"], where)))
-            times.append(t)
-        # a Fraction's denominator is positive and its terms are coprime:
-        # it is 1 exactly when numerator == denominator
-        if not times or times[0][1] != 0 or times[-1][1] != times[-1][2]:
-            raise self.error("chart must start at 0 and end at 1")
-        for (_, n0, d0), (_, n1, d1) in zip(times, times[1:]):
-            if n0 * d1 >= n1 * d0:
-                raise self.error("chart times must increase strictly")
+            t, nd = entry(pt["t"], where)
+            out.append((t, lengths(pt["lengths"], where)))
+            times.append(nd)
+        check_chart_times(times, self.error)
         return tuple(out)
 
 

@@ -56,32 +56,58 @@ def interior_triples(draw):
     return TriangleLengths(x, y, lo + lam * (hi - lo))
 
 
+def outcome(make, *args):
+    """What a constructor does with args: the point it builds, or the type and args of its NotInM."""
+    try:
+        return make(*args)
+    except NotInM as err:
+        return type(err), err.args
+
+
+def assert_cone_paths(t):
+    """Every path that decides the cone agrees with the Fraction definition on t.
+
+    ``_interior`` on the numerators and denominators, ``in_M``, the checked
+    constructor and the file reader, which runs the cone test on its memoised
+    integers and builds the point without the constructor.
+    """
+    inside = fraction_interior(*t)
+    assert trigeo._interior(*(n for v in t for n in (v.numerator, v.denominator))) == inside
+    assert trigeo.in_M(t) == inside
+    built = outcome(TriangleLengths, *t)
+    read = outcome(RationalReader(FamilyError).lengths, [str(v) for v in t], "w")
+    if inside:
+        assert type(built) is type(read) is TriangleLengths
+        assert built.astuple() == read.astuple() == t and hash(built) == hash(read) and repr(built) == repr(read)
+    else:
+        assert built == read == (NotInM, (f"({t[0]}, {t[1]}, {t[2]}) is not an interior triangle triple",))
+
+
 class TestIntegerCone:
     @HYPOTHESIS
     @given(st.tuples(rationals, rationals, rationals))
     def test_random_triples(self, t):
-        assert trigeo._interior(*t) == fraction_interior(*t)
+        assert_cone_paths(t)
 
     @HYPOTHESIS
     @given(boundary_triples())
     def test_boundary_triples(self, t):
-        assert trigeo._interior(*t) == fraction_interior(*t)
-        assert trigeo.in_M(t) == fraction_interior(*t)
+        assert_cone_paths(tuple(t))
 
     @HYPOTHESIS
     @given(interior_triples())
     def test_interior_triples_and_nudges(self, t):
         x, y, z = t.astuple()
-        assert trigeo._interior(x, y, z)
+        assert fraction_interior(x, y, z)
+        assert_cone_paths((x, y, z))
         eps = F(1, 10**50 + 7)
         for nudged in ((x + y, y, z), (x, x + z - eps, z), (x, y, x + y + eps), (-x, y, z)):
-            assert trigeo._interior(*nudged) == fraction_interior(*nudged)
+            assert_cone_paths(nudged)
 
     def test_edge_cases(self):
         for t in [(0, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (-1, -1, -1), (F(1, 2), F(1, 3), F(5, 6)),
                   (F(1, 2), F(1, 3), F(5, 6) - F(1, 10**40)), (F(10**30 + 57, 7), F(1, 2**61 - 1), F(10**30 + 57, 7))]:
-            t = tuple(F(v) for v in t)
-            assert trigeo._interior(*t) == fraction_interior(*t)
+            assert_cone_paths(tuple(F(v) for v in t))
 
 
 class TestActWithoutRecheck:

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tristack import deform, descent, families, fincat, grothendieck, groups, records, torsor, trigeo
-from tristack.trigeo import NotInM, _frac, _interior
+from tristack.trigeo import NotInM, _frac, in_M
 
 # -- trigeo ----------------------------------------------------------------
 
@@ -45,7 +45,7 @@ class TriangleLengths:
         object.__setattr__(self, "x", _frac(self.x))
         object.__setattr__(self, "y", _frac(self.y))
         object.__setattr__(self, "z", _frac(self.z))
-        if not _interior(self.x, self.y, self.z):
+        if not in_M((self.x, self.y, self.z)):
             raise NotInM(f"({self.x}, {self.y}, {self.z}) is not an interior triangle triple")
 
     def astuple(self):
