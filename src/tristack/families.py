@@ -26,6 +26,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
+from math import gcd, lcm
 from operator import attrgetter, itemgetter
 
 from . import trigeo
@@ -163,16 +164,80 @@ def graph(vertices, edges) -> BaseGraph:
 # TriangleLengths (both iterate over their coordinates).  Charts and the
 # samples of a PLMap are PL paths, served by one evaluator, one merge walk
 # and one reparametrisation.
+#
+# Segment arithmetic runs on integers.  A point becomes three numerators
+# over one positive denominator (``_int_point``) and a place on a segment
+# an integer ratio l/m with m > 0; the integer segment kernel
+# (``_sign_changes``, ``_segment_crossings``) finds coordinate crossings,
+# and each output time or coordinate is one ``Fraction(num, den)``.
 
 _time = itemgetter(0)
 _XYZ = attrgetter("x", "y", "z")
 
 
+def _int_point(v) -> tuple:
+    """(X, Y, Z, d): the coordinates of v as X/d, Y/d, Z/d, with d > 0 the lcm of their denominators."""
+    x, y, z = _XYZ(v) if type(v) is TriangleLengths else v
+    p, q, r = x.denominator, y.denominator, z.denominator
+    d = lcm(p, q, r)
+    return x.numerator * (d // p), y.numerator * (d // q), z.numerator * (d // r), d
+
+
+def _sorted_by(a, v: TriangleLengths) -> tuple:
+    """The coordinates of v, the objects themselves, sorted by the numerators of its integer point a."""
+    return tuple([c for _, c in sorted(zip(a, _XYZ(v)))])
+
+
+def _mix(a, b, l: int, m: int) -> tuple:
+    """The integer point l/m of the way from integer point a to b (m > 0), unreduced."""
+    da, db, k = a[3], b[3], m - l
+    return (k * a[0] * db + l * b[0] * da, k * a[1] * db + l * b[1] * da,
+            k * a[2] * db + l * b[2] * da, m * da * db)
+
+
 def _lerp(p0, p1, t: Fraction):
     """The coordinates at t of the path segment from p0 to p1 (t0 < t < t1)."""
     (t0, v0), (t1, v1) = p0, p1
-    lam = (t - t0) / (t1 - t0)
-    return tuple(a + lam * (b - a) for a, b in zip(v0, v1))
+    n, e, n0, e0, n1, e1 = t.numerator, t.denominator, t0.numerator, t0.denominator, t1.numerator, t1.denominator
+    x, y, z, d = _mix(_int_point(v0), _int_point(v1), (n * e0 - n0 * e) * e1, (n1 * e0 - n0 * e1) * e)
+    return Fraction(x, d), Fraction(y, d), Fraction(z, d)
+
+
+def _sign_changes(a, b) -> list:
+    """(d0, d1) at integer points a, b of each coordinate difference that changes sign strictly.
+
+    A difference that is 0 at either end touches and does not cross.
+    """
+    out = []
+    for p, q in ((0, 1), (0, 2), (1, 2)):
+        d0, d1 = a[p] - a[q], b[p] - b[q]
+        if d0 > 0 > d1 or d0 < 0 < d1:
+            out.append((d0, d1))
+    return out
+
+
+def _segment_crossings(t0: Fraction, a, t1: Fraction, b) -> list:
+    """(time, sorted coordinates) at each distinct time, rising, where two coordinates cross strictly inside a segment.
+
+    a and b are the integer points at t0 < t1.  Differences d0 and d1
+    cross at λ = l/m with l = d0·b[3] and m = l - d1·a[3]; over the lcm of
+    the m, equal λ have equal keys and are one crossing.
+    """
+    lams = []
+    for d0, d1 in _sign_changes(a, b):
+        l, m = d0 * b[3], d0 * b[3] - d1 * a[3]
+        lams.append((l, m) if m > 0 else (-l, -m))
+    if len(lams) > 1:
+        common = lcm(*(m for _, m in lams))
+        lams = [lm for _, lm in sorted({l * (common // m): (l, m) for l, m in lams}.items())]
+    n0, e0, n1, e1 = t0.numerator, t0.denominator, t1.numerator, t1.denominator
+    out = []
+    for l, m in lams:
+        x, y, z, d = _mix(a, b, l, m)
+        x, y, z = sorted((x, y, z))
+        time = Fraction(n0 * e1 * (m - l) + n1 * e0 * l, e0 * e1 * m)
+        out.append((time, (Fraction(x, d), Fraction(y, d), Fraction(z, d))))
+    return out
 
 
 def path_value(path, t) -> tuple:
@@ -355,7 +420,7 @@ def twist_family(fam: PLFamily, sigma: str) -> PLFamily:
 
 
 def canonical_point(g: BaseGraph, e: str, t: Fraction):
-    t = Fraction(t)
+    t = trigeo._frac(t)
     if t == 0:
         return ("vertex", g.edges[e].frm)
     if t == 1:
@@ -384,7 +449,7 @@ def validate_graph_map(m: GraphMap) -> GraphMap:
             if p[1] not in m.cod.vertices:
                 raise IllTypedMap(f"vertex {v} maps to unknown vertex")
         elif p[0] == "edge":
-            if p[1] not in m.cod.edges or not F0 < Fraction(p[2]) < F1:
+            if p[1] not in m.cod.edges or not F0 < trigeo._frac(p[2]) < F1:
                 raise IllTypedMap(f"vertex {v} maps to a non-point")
         else:
             raise IllTypedMap(f"vertex {v} image malformed")
@@ -397,7 +462,7 @@ def validate_graph_map(m: GraphMap) -> GraphMap:
                 raise IllTypedMap(f"constant edge {eid} disagrees with endpoint images")
         elif img[0] == "segment":
             _, ce, a, b = img
-            a, b = Fraction(a), Fraction(b)
+            a, b = trigeo._frac(a), trigeo._frac(b)
             if ce not in m.cod.edges or a == b or not (F0 <= a <= F1 and F0 <= b <= F1):
                 raise IllTypedMap(f"edge {eid} segment malformed")
             if m.vertex_image[e.frm] != canonical_point(m.cod, ce, a):
@@ -413,13 +478,13 @@ def graph_map(dom, cod, vertex_image, edge_image) -> GraphMap:
     vi = {}
     for v, p in vertex_image.items():
         if p[0] == "edge":
-            vi[v] = canonical_point(cod, p[1], Fraction(p[2]))
+            vi[v] = canonical_point(cod, p[1], p[2])
         else:
             vi[v] = p
     ei = {}
     for e, img in edge_image.items():
         if img[0] == "segment":
-            ei[e] = ("segment", img[1], Fraction(img[2]), Fraction(img[3]))
+            ei[e] = ("segment", img[1], trigeo._frac(img[2]), trigeo._frac(img[3]))
         else:
             ei[e] = img
     return validate_graph_map(GraphMap(dom, cod, vi, ei))
@@ -442,7 +507,7 @@ def map_point(m: GraphMap, p):
     if img[0] == "point":
         return img[1]
     _, ce, a, b = img
-    return canonical_point(m.cod, ce, a + (b - a) * Fraction(t))
+    return canonical_point(m.cod, ce, a + (b - a) * trigeo._frac(t))
 
 
 def compose_graph_maps(g: GraphMap, f: GraphMap) -> GraphMap:
@@ -569,13 +634,6 @@ def classify_to_M(fam: PLFamily) -> PLMap:
     )
 
 
-def _crossings(p0, p1):
-    """Times, rising, strictly inside the path segment p0-p1 where two coordinates cross."""
-    (t0, a), (t1, b) = (p0[0], tuple(p0[1])), (p1[0], tuple(p1[1]))
-    diffs = ((a[p] - a[q], b[p] - b[q]) for p, q in ((0, 1), (0, 2), (1, 2)))
-    return sorted({t0 + (t1 - t0) * d0 / (d0 - d1) for d0, d1 in diffs if d0 > 0 > d1 or d0 < 0 < d1})
-
-
 def classify_to_N(fam: PLFamily) -> PLMap:
     """Pointwise sorted charts, with breakpoints added at coordinate crossings.
 
@@ -585,14 +643,17 @@ def classify_to_N(fam: PLFamily) -> PLMap:
     """
     samples = {}
     for e, chart in fam.charts.items():
-        out = [(F0, tuple(sorted(chart[0][1])))]
-        for p0, p1 in zip(chart, chart[1:]):
-            out += [(t, tuple(sorted(_lerp(p0, p1, t)))) for t in _crossings(p0, p1)]
-            out.append((p1[0], tuple(sorted(p1[1]))))
+        t0, a = F0, _int_point(chart[0][1])
+        out = [(F0, _sorted_by(a, chart[0][1]))]
+        for t1, v in chart[1:]:
+            b = _int_point(v)
+            out += _segment_crossings(t0, a, t1, b)
+            out.append((t1, _sorted_by(b, v)))
+            t0, a = t1, b
         samples[e] = tuple(out)
     return PLMap(
         fam.base,
-        {v: tuple(sorted(t)) for v, t in fam.vertex_lengths.items()},
+        {v: _sorted_by(_int_point(t), t) for v, t in fam.vertex_lengths.items()},
         samples,
     )
 
@@ -720,7 +781,8 @@ def is_scalene_everywhere(fam: PLFamily) -> bool:
         for t, v in chart:
             if len(set(v.astuple())) != 3:
                 return False
-        if any(_crossings(p0, p1) for p0, p1 in zip(chart, chart[1:])):
+        points = [_int_point(v) for _, v in chart]
+        if any(_sign_changes(a, b) for a, b in zip(points, points[1:])):
             return False
     return all(len(set(t.astuple())) == 3 for t in fam.vertex_lengths.values())
 

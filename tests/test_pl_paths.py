@@ -12,6 +12,13 @@ sort-the-union-then-rescan ``plmaps_equal`` and
 breakpoints and equal value types (tuples of ``Fraction`` in PLMap
 samples, ``TriangleLengths`` in charts), and the same ``FamilyError`` for
 parameters outside [0, 1], on the seeded corpus and on hypothesis charts.
+
+Segment arithmetic runs on integers: the integer segment kernel
+(``_sign_changes`` and ``_segment_crossings`` on ``_int_point`` points)
+finds coordinate crossings, and ``_lerp`` interpolates with one
+``Fraction`` per coordinate.  Both are checked on raw hypothesis segments
+against the ``Fraction`` code they replaced, ``_crossings`` and the old
+``_lerp``, also kept verbatim below.
 """
 
 from fractions import Fraction
@@ -283,6 +290,25 @@ def oracle_leg_candidates(chart1, glue1, chart2, glue2, pin):
     return None
 
 
+def oracle_crossings(p0, p1):
+    """Times, rising, strictly inside the path segment p0-p1 where two coordinates cross."""
+    (t0, a), (t1, b) = (p0[0], tuple(p0[1])), (p1[0], tuple(p1[1]))
+    diffs = ((a[p] - a[q], b[p] - b[q]) for p, q in ((0, 1), (0, 2), (1, 2)))
+    return sorted({t0 + (t1 - t0) * d0 / (d0 - d1) for d0, d1 in diffs if d0 > 0 > d1 or d0 < 0 < d1})
+
+
+def oracle_path_lerp(p0, p1, t: Fraction):
+    """The coordinates at t of the path segment from p0 to p1 (t0 < t < t1)."""
+    (t0, v0), (t1, v1) = p0, p1
+    lam = (t - t0) / (t1 - t0)
+    return tuple(a + lam * (b - a) for a, b in zip(v0, v1))
+
+
+def oracle_segment(p0, p1):
+    # the crossing samples of one segment in classify_to_N
+    return [(t, tuple(sorted(oracle_path_lerp(p0, p1, t)))) for t in oracle_crossings(p0, p1)]
+
+
 # -- comparison helpers ---------------------------------------------------------------
 
 
@@ -394,6 +420,24 @@ class TestFloatsRejected:
                     reparam(chart, a, b)
         assert families.path_value(chart, F(1, 4)) == (F(7, 2), F(4), F(5))
         assert families.path_reparam(chart, 0, "1/2") == ((F0, (F(3), F(4), F(5))), (F1, (F(4), F(4), F(5))))
+
+    def test_graph_map_points(self):
+        g = graph(["u", "v"], [("e", "u", "v")])
+        point = graph(["p"], [])
+        ends, floated = {"u": ("vertex", "u"), "v": ("vertex", "v")}, {"e": ("segment", "e", 0, 1.0)}
+        cut = subdivide_edge_map(g, "e", F(1, 4))
+        for call in (lambda: families.canonical_point(g, "e", 0.5),
+                     lambda: subdivide_edge_map(g, "e", 0.25),
+                     lambda: families.graph_map(point, g, {"p": ("edge", "e", 0.5)}, {}),
+                     lambda: families.graph_map(g, g, ends, {"e": ("segment", "e", 0.0, 1)}),
+                     lambda: families.validate_graph_map(families.GraphMap(point, g, {"p": ("edge", "e", 0.5)}, {})),
+                     lambda: families.validate_graph_map(families.GraphMap(g, g, ends, floated)),
+                     lambda: map_point(cut, ("edge", "e.a", 0.5))):
+            with pytest.raises(TypeError, match="^floats are not accepted"):
+                call()
+        assert families.canonical_point(g, "e", "1/2") == ("edge", "e", F(1, 2))
+        assert subdivide_edge_map(g, "e", "1/4").edge_image == cut.edge_image
+        assert map_point(cut, ("edge", "e.a", "1/2")) == ("edge", "e", F(1, 8))
 
 
 class TestReparametrisation:
@@ -585,6 +629,63 @@ class TestHypothesisCharts:
         assert typed_plmap(n) == typed_plmap(oracle_classify_to_N(one_edge_family(chart)))
 
 
+# -- the integer segment kernel on raw segments ------------------------------------------
+
+BIG = 10 ** 6
+coordinates = st.one_of(st.integers(-40, 40), st.fractions(min_value=-40, max_value=40, max_denominator=BIG))
+inside = st.fractions(min_value=0, max_value=1, max_denominator=BIG).filter(lambda s: 0 < s < 1)
+
+
+@st.composite
+def raw_segments(draw):
+    """(p0, p1) with t0 < t1 and coordinate points, free or in the cone, touching or meeting all at once.
+
+    A touching segment has one pair equal at one end only; a meeting one
+    has all three coordinates equal at one time inside the segment.
+    """
+    t0, t1 = sorted(draw(st.lists(st.fractions(min_value=-2, max_value=3, max_denominator=BIG),
+                                  min_size=2, max_size=2, unique=True)))
+    kind = draw(st.sampled_from(["free", "touch", "meet", "cone"]))
+    if kind == "cone":
+        return (t0, draw(triples())), (t1, draw(triples()))
+    a, b = (list(draw(st.tuples(coordinates, coordinates, coordinates))) for _ in range(2))
+    if kind == "touch":
+        p, q = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+        a[q] = a[p]
+    elif kind == "meet":
+        lam, c = draw(inside), draw(coordinates)
+        b = [ai + (c - ai) / lam for ai in a]
+    a, b = tuple(a), tuple(b)
+    return ((t0, a), (t1, b)) if draw(st.booleans()) else ((t0, b), (t1, a))
+
+
+class TestSegmentKernel:
+    """Crossings and interpolation on integers against the Fraction code they replaced."""
+
+    def check(self, p0, p1, ts=()):
+        a, b = families._int_point(p0[1]), families._int_point(p1[1])
+        crossings = families._segment_crossings(p0[0], a, p1[0], b)
+        assert typed(crossings) == typed(oracle_segment(p0, p1))
+        assert bool(families._sign_changes(a, b)) == bool(oracle_crossings(p0, p1))
+        for t in [*ts, *(t for t, _ in crossings)]:
+            assert typed(families._lerp(p0, p1, t)) == typed(oracle_path_lerp(p0, p1, t))
+        return crossings
+
+    @settings(HYPOTHESIS, max_examples=500)
+    @given(raw_segments(), inside)
+    def test_raw_segments(self, segment, s):
+        p0, p1 = segment
+        self.check(p0, p1, [p0[0] + (p1[0] - p0[0]) * s])
+
+    def test_touching_ties_and_three_way_meetings(self):
+        assert self.check((F0, (3, 4, 4)), (F1, (3, 5, 4)), [F(1, 3)]) == []
+        assert families._sign_changes(families._int_point((3, 4, 4)), families._int_point((3, 5, 4))) == []
+        meet = self.check((F(1, 4), (5, 4, 3)), (F(3, 4), (3, 4, 5)), [F(1, 3)])
+        assert meet == [(F(1, 2), (F(4), F(4), F(4)))]
+        assert self.check((F0, (F(-1, 3), 2, -2)), (F(1, 3), (2, -1, F(-5, 999_983))), [F(1, 7)])
+        assert self.check((F(-1, BIG), (F(1, BIG), F(2, BIG - 1), 0)), (F(1, BIG + 3), (0, 0, F(1, BIG))))
+
+
 def _segment_map(base, a, b):
     """The map from a one-edge graph onto ``base``'s edge e, running from a to b."""
     dom = graph(["s0", "s1"], [("s", "s0", "s1")])
@@ -594,9 +695,20 @@ def _segment_map(base, a, b):
 
 
 def test_corpus_is_not_trivial():
-    """The seeded corpus reaches crossings, reversed cuts and interpolated walk points."""
+    """The seeded corpus reaches crossings, reversed cuts and interpolated walk points.
+
+    It also reaches segments where a coordinate pair touches, equal at one
+    end only, and three-way coincidences, where all three coordinates are
+    equal; the corpus has these at breakpoints, and the raw segments of
+    ``TestSegmentKernel`` draw them inside a segment.
+    """
     crossings = sum(len(oracle_sort_crossings(c)) for c in CHARTS)
     interpolated = sum(
         1 for f in CHARTS[:30] for g in CHARTS[:30]
         if set(chart_breaks(f)) != set(chart_breaks(g)))
-    assert crossings > 20 and interpolated > 100
+    touching = sum(
+        1 for c in CHARTS for (_, u), (_, v) in zip(c, c[1:])
+        if any((u.astuple()[p] == u.astuple()[q]) != (v.astuple()[p] == v.astuple()[q])
+               for p, q in ((0, 1), (0, 2), (1, 2))))
+    meetings = sum(1 for c in CHARTS for _, v in c if len(set(v.astuple())) == 1)
+    assert crossings > 20 and interpolated > 100 and touching > 10 and meetings > 0
