@@ -4,9 +4,10 @@ Every subcommand is a thin adapter over the library; its verdict is the
 library call's verdict.  Exit codes: 0 for success or a positive
 verdict, 1 for a well-formed negative verdict (so shell pipelines can
 branch on mathematical outcomes), 2 for parse or validation problems
-with the inputs, 3 for an internal error (a crash is never a verdict).
-``--json`` writes a machine report whose content depends only on the
-subcommand arguments, never on the report path.
+with the inputs or the command line, 3 for an internal error (a crash is
+never a verdict).  ``--json`` writes a machine report whose content depends
+only on the echoed command: ``argv`` less exactly the ``--json`` tokens.
+The command line is one table, ``COMMANDS``, read by ``parse_args``.
 
 Each subcommand imports the layers it calls, so a process pays start-up
 only for its own half: ``classify`` loads ``trigeo`` alone, the family
@@ -16,10 +17,11 @@ no category module.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 
 class InputError(Exception):
@@ -420,86 +422,139 @@ def _plain(value):
 # -- driver ------------------------------------------------------------------------
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tristack",
-        description="verdicts for finite descent machinery and exact triangle families",
-    )
-    parser.add_argument("--json", metavar="PATH", help="write a machine-readable report")
-    parser.add_argument("--seed", type=int, default=0, help="seed for generated corpora")
-    sub = parser.add_subparsers(dest="command", required=True)
+class ShowHelp(Exception):
+    """``-h`` or ``--help``: the exception's text is the help, and the exit is 0."""
 
-    p = sub.add_parser("classify", help="classify an edge-length triple")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("z")
-    p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("site-check", help="verify the covering axioms of a site file")
-    p.add_argument("site")
-    p.set_defaults(fn=cmd_site_check)
+# option -> (dest, type, default, nargs); nargs "*" takes zero or more values
+GLOBAL = {"--json": ("json", str, None, None), "--seed": ("seed", int, 0, None)}
 
-    p = sub.add_parser("stack-check", help="stack / prestack verdict for a fibered category over a site")
-    p.add_argument("input")
-    p.set_defaults(fn=cmd_stack_check)
+# subcommand -> (handler, positional names, options, help)
+COMMANDS = {
+    "classify": (cmd_classify, ("x", "y", "z"), {}, "classify an edge-length triple"),
+    "site-check": (cmd_site_check, ("site",), {}, "verify the covering axioms of a site file"),
+    "stack-check": (cmd_stack_check, ("input",), {}, "stack / prestack verdict for a fibered category over a site"),
+    "groth-roundtrip": (cmd_groth_roundtrip, ("pseudofunctor",), {},
+                        "total category and round-trip checks for a pseudo-functor file"),
+    "descent-glue": (cmd_descent_glue, ("glue",), {}, "glue per-piece trivial torsors along overlap data"),
+    "family-iso": (cmd_family_iso, ("first", "second"), {}, "decide isomorphism of two families over the same base"),
+    "orientable": (cmd_orientable, ("family",), {}, "orientation trivialization or obstruction cycle"),
+    "coarse-check": (cmd_coarse_check, ("invariant",),
+                     {"--families": ("families", str, None, "*"), "--corpus-size": ("corpus_size", int, 12, None)},
+                     "does a fiberwise invariant factor through the quotient?"),
+    "demo-remark25": (cmd_demo_remark25, (), {}, "equal quotient maps without an isomorphism"),
+    "demo-mobius": (cmd_demo_mobius, (), {}, "the non-orientable circle family"),
+    "plot-data": (cmd_plot_data, (),
+                  {"--denominator": ("denominator", int, 12, None), "--out": ("out", str, None, None)},
+                  "CSV sampling of the perimeter-2 slice"),
+}
 
-    p = sub.add_parser("groth-roundtrip", help="total category and round-trip checks for a pseudo-functor file")
-    p.add_argument("pseudofunctor")
-    p.set_defaults(fn=cmd_groth_roundtrip)
+HELP = """usage: tristack [--json PATH] [--seed N] COMMAND ...   (tristack COMMAND --help for its arguments)
 
-    p = sub.add_parser("descent-glue", help="glue per-piece trivial torsors along overlap data")
-    p.add_argument("glue")
-    p.set_defaults(fn=cmd_descent_glue)
+verdicts for finite descent machinery and exact triangle families
 
-    p = sub.add_parser("family-iso", help="decide isomorphism of two families over the same base")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(fn=cmd_family_iso)
+  --json PATH        write a machine-readable report
+  --seed N           seed for generated corpora
+"""
 
-    p = sub.add_parser("orientable", help="orientation trivialization or obstruction cycle")
-    p.add_argument("family")
-    p.set_defaults(fn=cmd_orientable)
+# a negative number (-5, -.5) is an argument, not an option
+NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("coarse-check", help="does a fiberwise invariant factor through the quotient?")
-    p.add_argument("invariant")
-    p.add_argument("--families", nargs="*", default=None, metavar="FILE")
-    p.add_argument("--corpus-size", type=int, default=12)
-    p.set_defaults(fn=cmd_coarse_check)
 
-    p = sub.add_parser("demo-remark25", help="equal quotient maps without an isomorphism")
-    p.set_defaults(fn=cmd_demo_remark25)
+def _help(command):
+    if command is None:
+        return HELP + "".join(f"\n  {name:<19}{spec[3]}" for name, spec in COMMANDS.items())
+    _, names, options, text = COMMANDS[command]
+    words = [f"[{flag} {'N' if kind is int else '[PATH ...]' if nargs else 'PATH'}]"
+             for flag, (_, kind, _, nargs) in options.items()]
+    return f"usage: tristack {' '.join([command, *words, *names])}\n\n{text}"
 
-    p = sub.add_parser("demo-mobius", help="the non-orientable circle family")
-    p.set_defaults(fn=cmd_demo_mobius)
 
-    p = sub.add_parser("plot-data", help="CSV sampling of the perimeter-2 slice")
-    p.add_argument("--denominator", type=int, default=12)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_plot_data)
+def _is_argument(token, options):
+    """Whether ``token`` is a value: no leading '-', '-' alone, a negative number, or spaced but no option."""
+    return token[:1] != "-" or token == "-" or (
+        token.partition("=")[0] not in options and (" " in token or NEGATIVE.match(token) is not None))
 
-    return parser
+
+def parse_args(argv):
+    """The namespace the handlers read, and the command to echo: ``argv`` less the ``--json`` tokens.
+
+    Options are spelled in full and take ``--opt VALUE`` or ``--opt=VALUE``;
+    the last one given wins.  After ``--`` every token is positional.
+    """
+    args = SimpleNamespace(command=None, **{dest: default for dest, _, default, _ in GLOBAL.values()})
+    options, names, where = GLOBAL, (), ""
+    dropped, given, after_positional, only_values, i = set(), 0, -1, False, 0
+    while i < len(argv):
+        token, start, i = argv[i], i, i + 1
+        if only_values or _is_argument(token, options):
+            if args.command is None:
+                if token not in COMMANDS:
+                    raise InputError(f"unknown command {token!r}; choose from {', '.join(COMMANDS)}")
+                args.fn, names, options, _ = COMMANDS[token]
+                args.command, where = token, f"{token}: "
+                vars(args).update({dest: default for dest, _, default, _ in options.values()})
+            elif given == len(names):
+                raise InputError(f"{where}unexpected argument {token!r}")
+            else:
+                setattr(args, names[given], token)
+                given, after_positional = given + 1, i
+        elif token == "--":
+            # a '--' that ends argv is accepted only right after a positional
+            if args.command is None or (i == len(argv) and after_positional != start):
+                raise InputError(f"{where}unexpected '--'")
+            only_values = True
+        elif token in ("-h", "--help"):
+            raise ShowHelp(_help(args.command))
+        else:
+            flag, inline, value = token.partition("=")
+            if flag not in options:
+                known = f"options, spelled in full: {', '.join(options)}" if options else "no options"
+                raise InputError(f"{where}unknown option {flag} ({known})")
+            dest, kind, _, nargs = options[flag]
+            end = i
+            while not inline and end < len(argv) and (nargs or end == i) and _is_argument(argv[end], options):
+                end += 1
+            values, i = [value] if inline else argv[i:end], end
+            if not (values or nargs):
+                raise InputError(f"{where}{flag} expects a value")
+            try:
+                values = [kind(v) for v in values]
+            except ValueError:
+                raise InputError(f"{where}{flag}: invalid {kind.__name__} value {values[0]!r}")
+            setattr(args, dest, values if nargs else values[0])
+            if dest == "json":
+                dropped.update(range(start, i))
+    if args.command is None:
+        raise InputError(f"expected a command: {', '.join(COMMANDS)}")
+    if given < len(names):
+        raise InputError(f"{where}missing {', '.join(names[given:])}")
+    return args, [token for k, token in enumerate(argv) if k not in dropped]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    echoed = [a for a in argv if a != "--json" and (args.json is None or a != args.json)]
     try:
+        args, echoed = parse_args(argv)
         report, code, text = args.fn(args)
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump({"command": echoed, "exit": code, "report": report}, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+    except ShowHelp as shown:
+        print(shown)
+        return 0
     except InputError as err:
         print(f"input error: {err}")
+        return 2
+    except OSError as err:  # a path given on the command line that cannot be read or written
+        print(f"input error: {err.filename}: {err.strerror}")
         return 2
     except Exception as err:
         detail = " ".join(f"{type(err).__name__}: {err}".split())
         print(f"internal error: {detail}", file=sys.stderr)
         return 3
     print(text)
-    if args.json:
-        payload = {"command": echoed, "exit": code, "report": report}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
     return code
 
 

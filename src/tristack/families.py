@@ -1003,7 +1003,7 @@ class InvariantAssignment(Record):
         setfield(self, "fn", fn)  # TriangleLengths -> tuple[Fraction, ...]
 
     def __call__(self, t: TriangleLengths):
-        return tuple(Fraction(v) for v in self.fn(t))
+        return tuple(trigeo._frac(v) for v in self.fn(t))
 
 
 def _heron16(t: TriangleLengths):

@@ -371,4 +371,4 @@ def parse_lengths(sx: str, sy: str, sz: str) -> TriangleLengths:
 
 def format_lengths(t) -> list[str]:
     tup = t.astuple() if hasattr(t, "astuple") else t
-    return [str(Fraction(v)) for v in tup]
+    return [str(_frac(v)) for v in tup]

@@ -116,3 +116,42 @@ json_documents = st.recursive(
     | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=3), children, max_size=5),
     max_leaves=16,
 )
+
+
+# -- command lines ------------------------------------------------------------------
+
+SUBCOMMANDS = [
+    "classify", "site-check", "stack-check", "groth-roundtrip", "descent-glue", "family-iso",
+    "orientable", "coarse-check", "demo-remark25", "demo-mobius", "plot-data",
+]
+OPTIONS = ["--json", "--seed", "--families", "--corpus-size", "--denominator", "--out"]
+ABBREVIATIONS = ["--js", "--se", "--fam", "--corpus", "--den", "--o"]
+# arguments, {f} standing for an input file; words with a space or a leading '-'
+# test where an argument ends and an option begins
+ARGUMENTS = ["perimeter", "ycoord", "x", "3/4", "a b", "-a b", "", "-", "-5", "-.5", "0", "1", "3", "12", "{f}"]
+
+
+def argv_tokens(abbreviations=True, help=True):
+    """The token alphabet of arbitrary command lines: every spelling of every option, and markers."""
+    spelled = OPTIONS + (ABBREVIATIONS if abbreviations else [])
+    joined = [f"{o}={v}" for o in spelled for v in ("3", "-2", "x", "", "--", "{f}")]
+    return SUBCOMMANDS + spelled + joined + ["--", "-x"] + ARGUMENTS + (["-h", "--help"] if help else [])
+
+
+# a valid argument list per subcommand, {f} standing for its input file
+VALID_ARGUMENTS = {
+    "classify": ["3", "4", "5"], "site-check": ["{f}"], "stack-check": ["{f}"], "groth-roundtrip": ["{f}"],
+    "descent-glue": ["{f}"], "family-iso": ["{f}", "{f}"], "orientable": ["{f}"],
+    "coarse-check": ["perimeter", "--corpus-size", "3"], "demo-remark25": [], "demo-mobius": [],
+    "plot-data": ["--denominator", "3"],
+}
+
+
+@st.composite
+def command_lines(draw, tokens, most=4):
+    """(subcommand, argv): its valid arguments with up to ``most`` tokens put in anywhere."""
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    argv = [command, *VALID_ARGUMENTS[command]]
+    for _ in range(draw(st.integers(0, most))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(tokens)))
+    return command, argv

@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tristack
 from tristack import corpus, descent, families, grothendieck, torsor
 from tristack.cli import main
 
@@ -676,6 +678,38 @@ class TestMachineReports:
         assert code1 == code2 == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_echo_drops_exactly_the_json_tokens(self, tmp_path, capsys):
+        """A report path that is also an input stays in the echo; only the --json tokens go."""
+        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        for p in (f, g):
+            p.write_text(json.dumps(families.family_to_json(families.fixture_remark25()[0])))
+        run(capsys, "--json", str(g), "family-iso", str(f), str(g))
+        assert json.loads(g.read_text())["command"] == ["family-iso", str(f), str(g)]
+        run(capsys, "--seed", "3", "--json=" + str(f), "--json", str(g), "demo-mobius")
+        assert json.loads(g.read_text())["command"] == ["--seed", "3", "demo-mobius"]
+
+    def test_joined_and_spaced_json_give_the_same_bytes(self, tmp_path, capsys):
+        p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert run(capsys, f"--json={p1}", "demo-mobius")[0] == run(capsys, "--json", str(p2), "demo-mobius")[0] == 0
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "3", "--json", "{r}", "coarse-check", "--corpus-size=4", "spread"],
+        ["--json={r}", "plot-data", "--out", "{csv}", "--denominator", "3"],
+        ["--json", "{r}", "classify", "--", "3", "4", "-5"],
+    ])
+    def test_the_echoed_command_reproduces_the_report(self, tmp_path, capsys, argv):
+        first, again, csv = tmp_path / "r1.json", tmp_path / "r2.json", tmp_path / "slice.csv"
+        code = run(capsys, *(a.format(r=first, csv=csv) for a in argv))[0]
+        echoed = json.loads(first.read_text())["command"]
+        assert run(capsys, "--json", str(again), *echoed)[0] == code
+        assert first.read_bytes() == again.read_bytes()
+
+    def test_an_abbreviated_json_writes_nothing(self, tmp_path, capsys):
+        code, out = run(capsys, "--js", str(tmp_path / "r3.json"), "demo-mobius")
+        assert code == 2 and out.startswith("input error: unknown option --js ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path):
         """Every subcommand in its own process under two string hash seeds: the same
         --json bytes.  An in-process rerun shares one seed, so it cannot see this."""
@@ -754,6 +788,7 @@ SUBCOMMAND_LAYERS = [
     (["family-iso", "{family}", "{family}"], FAMILY),
     (["orientable", "{family}"], FAMILY),
     (["coarse-check", "perimeter", "--families", "{family}"], FAMILY),
+    (["coarse-check", "perimeter", "--corpus-size", "3"], FAMILY | SITE | {"tristack.corpus", "tristack.groups"}),
     (["demo-remark25"], FAMILY),
     (["demo-mobius"], FAMILY),
     (["descent-glue", "{glue}"], GLUE),
@@ -766,12 +801,13 @@ LOADED = """
 import json, sys
 from tristack.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules,
+print(json.dumps({"code": code, "stdlib": [m for m in ("argparse", "dataclasses", "shutil") if m in sys.modules],
                   "modules": sorted(m for m in sys.modules if m.startswith("tristack"))}))
 """
 
 
-@pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS, ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
+@pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS,
+                         ids=[argv[0] + ("-corpus" if "--corpus-size" in argv else "") for argv, _ in SUBCOMMAND_LAYERS])
 def test_each_subcommand_imports_only_its_layers(tmp_path, argv, layers):
     site = descent.site_to_json(corpus.site_two_point_space())
     circle = torsor.GlueData(
@@ -790,8 +826,10 @@ def test_each_subcommand_imports_only_its_layers(tmp_path, argv, layers):
     for name, raw in inputs.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(raw))
+    # -S: the site hooks of an installed interpreter may load shutil themselves
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED, *(a.format(**paths) for a in argv)],
+        [sys.executable, "-S", "-c", LOADED, *(a.format(**paths) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=str(Path(tristack.__file__).parents[1])),
         capture_output=True,
         text=True,
     )
@@ -799,4 +837,4 @@ def test_each_subcommand_imports_only_its_layers(tmp_path, argv, layers):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["code"] in (0, 1)
     assert set(loaded["modules"]) == {"tristack", "tristack.cli", "tristack.records"} | layers
-    assert not loaded["dataclasses"]
+    assert loaded["stdlib"] == []

@@ -1,8 +1,8 @@
 """The exit-code contract, fuzzed: every input gets a verdict or a named fault.
 
 ``main`` runs on arbitrary JSON documents and on one-field mutations of
-files the writers emit (``input_files``), and ``classify`` on arbitrary
-argument text.  Every run exits 0 or 1 with a verdict, or 2 with one
+files the writers emit (``input_files``), ``classify`` on arbitrary
+argument text, and every subcommand on arbitrary command lines.  Every run exits 0 or 1 with a verdict, or 2 with one
 ``input error`` line on stdout and nothing on stderr; it never prints
 ``internal error`` (exit 3).  Below ``main``, each loader meets the same
 mutations and raises nothing but its own error, so a malformed file never
@@ -12,11 +12,12 @@ reaches the user as a bare ``TypeError`` or ``KeyError`` message.
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from input_files import FILES, json_documents, mutations
+from input_files import FILES, argv_tokens, command_lines, json_documents, mutations
 from tristack import deform, descent, families, fincat, grothendieck, torsor
 from tristack.cli import main
 
@@ -85,6 +86,35 @@ rational_text = st.text(st.sampled_from("0123456789/+-. e"), max_size=8) | st.te
 @given(args=st.lists(rational_text, min_size=3, max_size=3))
 def test_classify_arbitrary_text(args):
     assert_contract(["classify", "--", *args])
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=command_lines(argv_tokens()))
+def test_arbitrary_command_lines(infile, line):
+    """Options in any spelling and order, abbreviated, repeated or misplaced, and stray
+    arguments: a usage error is one input error line.  The input file is a valid file of
+    the subcommand's format; reports and CSV files go next to it."""
+    command, argv = line
+    if command in FILE_COMMANDS:
+        infile.write_text(json.dumps(FILES[FILE_COMMANDS[command][0]][0]))
+    cwd = os.getcwd()
+    os.chdir(infile.parent)
+    try:
+        assert_contract([a.format(f=infile) for a in argv])
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "1"], ["classify", "1", "2", "3", "4"], [], ["volume"], ["--seed", "x", "demo-mobius"],
+    ["plot-data", "--den", "3"], ["plot-data", "--denominator"], ["demo-mobius", "--json", "r.json"],
+    ["--json", "no/such/dir/r.json", "demo-mobius"],
+])
+def test_usage_errors_exit_two(capsys, argv):
+    """What argparse answered with a usage message on stderr and SystemExit is an input error."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("input error: ") and out.count("\n") == 1, (out, err)
 
 
 @settings(max_examples=300)

@@ -21,13 +21,15 @@ against the ``Fraction`` code they replaced, ``_crossings`` and the old
 ``_lerp``, also kept verbatim below.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tristack import corpus, deform, families
+from tristack import corpus, deform, families, trigeo
 from tristack.families import (
     F0,
     F1,
@@ -393,6 +395,20 @@ class TestEvaluator:
             assert outcome(families.path_value, chart, t) == outcome(oracle_chart_eval_tuple, chart, t)
 
 
+def fractions_of_variables(tree, scope=""):
+    """The scope of each one-argument ``Fraction(x)`` whose ``x`` is no int or string literal."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = f"{scope}.{node.name}".lstrip(".") if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else scope
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) in ("Fraction", "fractions.Fraction")
+                and len(node.args) == 1 and not node.keywords):
+            arg = node.args[0].operand if isinstance(node.args[0], ast.UnaryOp) else node.args[0]
+            if not (isinstance(arg, ast.Constant) and type(arg.value) in (int, str)):
+                found.append(inner)
+        found += fractions_of_variables(node, inner)
+    return found
+
+
 class TestFloatsRejected:
     """A float time or parameter raises TypeError, as a float length does; nothing rounds it."""
 
@@ -438,6 +454,25 @@ class TestFloatsRejected:
         assert families.canonical_point(g, "e", "1/2") == ("edge", "e", F(1, 2))
         assert subdivide_edge_map(g, "e", "1/4").edge_image == cut.edge_image
         assert map_point(cut, ("edge", "e.a", "1/2")) == ("edge", "e", F(1, 8))
+
+    def test_invariants_and_written_lengths(self):
+        t = TriangleLengths(3, 4, 5)
+        half = families.InvariantAssignment("half", lambda t: (float(t.x) / 2,))
+        for call in (lambda: half(t), lambda: trigeo.format_lengths((0.5, 1, 1))):
+            with pytest.raises(TypeError, match="^floats are not accepted"):
+                call()
+        assert families.InvariantAssignment("half", lambda t: (t.x / 2, 1))(t) == (F(3, 2), F(1))
+        assert trigeo.format_lengths((F(1, 2), 1, "3/4")) == ["1/2", "1", "3/4"]
+
+    def test_no_fraction_of_a_variable_outside_the_gates(self):
+        """``Fraction(x)`` would round a float ``x``; in src/ only the float gates may call it."""
+        gates = {"trigeo.py:_frac", "trigeo.py:RationalReader._entry"}
+        found = [f"{path.name}:{scope}" for path in sorted(Path(trigeo.__file__).parent.glob("*.py"))
+                 for scope in fractions_of_variables(ast.parse(path.read_text(encoding="utf-8")))]
+        assert found and set(found) <= gates, found
+        probe = "def f(v):\n    return Fraction(v), Fraction(1), Fraction('1/2'), Fraction(-3), Fraction(v, 2)\n"
+        assert fractions_of_variables(ast.parse(probe)) == ["f"]
+        assert fractions_of_variables(ast.parse("class C:\n    def g(self):\n        return Fraction(0.5)\n")) == ["C.g"]
 
 
 class TestReparametrisation:
