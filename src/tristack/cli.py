@@ -37,6 +37,8 @@ def _load_json(path):
         raise InputError(f"{path}: no such file")
     except json.JSONDecodeError as err:
         raise InputError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x} at offset {err.start})")
     if not isinstance(raw, dict):
         raise InputError(f"{path}: expected a JSON object at the top level, got {type(raw).__name__}")
     return raw

@@ -32,6 +32,7 @@ from operator import attrgetter, itemgetter
 from . import trigeo
 from .records import Record, read, setfield
 from .trigeo import (
+    PERM_ACTION,
     PERMS,
     NotInM,
     TriangleLengths,
@@ -292,12 +293,18 @@ def path_reparam(path, a, b) -> tuple:
 def make_chart(points) -> tuple:
     """The chart of (time, triple) pairs built in Python; files are read by ``RationalReader.chart``."""
     out = []
+    n0, d0, rising = -1, 0, True  # the reader's time test, on the integers of each Fraction
     for t, v in points:
         t = t if type(t) is Fraction else trigeo._frac(t)
         if not isinstance(v, TriangleLengths):
             v = TriangleLengths(*v)
         out.append((t, v))
-    trigeo.check_chart_times([(t.numerator, t.denominator) for t, _ in out], FamilyError)
+        rising = rising and n0 * t.denominator < t.numerator * d0
+        n0, d0 = t.numerator, t.denominator
+    if not out or out[0][0] or n0 != d0:
+        raise FamilyError("chart must start at 0 and end at 1")
+    if not rising:
+        raise FamilyError("chart times must increase strictly")
     return tuple(out)
 
 
@@ -349,24 +356,31 @@ def validate_family(raw) -> PLFamily:
 
 def _checked(fam: PLFamily, charts_built: bool) -> PLFamily:
     """validate_family's checks; ``charts_built`` skips re-running make_chart."""
+    vl = fam.vertex_lengths
     for v in fam.base.vertices:
-        if v not in fam.vertex_lengths:
+        if v not in vl:
             raise FamilyError(f"vertex {v} has no fiber")
-        if not isinstance(fam.vertex_lengths[v], TriangleLengths):
-            raise FiberNotInM((v, fam.vertex_lengths[v]))
+        if not isinstance(vl[v], TriangleLengths):
+            raise FiberNotInM((v, vl[v]))
     for eid, e in fam.base.edges.items():
         chart = fam.charts.get(eid)
         if chart is None:
             raise FamilyError(f"edge {eid} has no chart")
         if not charts_built:
             make_chart(chart)  # re-checks shape; values are TriangleLengths already
-        for g in (fam.glue_from[eid], fam.glue_to[eid]):
-            if g not in PERMS:
-                raise FamilyError(f"edge {eid} glue {g} is not a permutation label")
-        start, end = chart[0][1].astuple(), chart[-1][1].astuple()
-        if act_tuple(fam.glue_from[eid], start) != fam.vertex_lengths[e.frm].astuple():
+        g, h = fam.glue_from[eid], fam.glue_to[eid]
+        try:
+            p, q = PERM_ACTION[g], PERM_ACTION[h]
+        except (KeyError, TypeError):  # an unhashable label (a list, say) is no label either
+            raise FamilyError(f"edge {eid} glue {h if g in PERMS else g} is not a permutation label") from None
+        # act(g, start) == the fiber at e.frm, on plain coordinate tuples
+        s, v = chart[0][1], vl[e.frm]
+        s = (s.x, s.y, s.z)
+        if (s[p[0]], s[p[1]], s[p[2]]) != (v.x, v.y, v.z):
             raise GlueInconsistent(e.frm)
-        if act_tuple(fam.glue_to[eid], end) != fam.vertex_lengths[e.to].astuple():
+        s, v = chart[-1][1], vl[e.to]
+        s = (s.x, s.y, s.z)
+        if (s[q[0]], s[q[1]], s[q[2]]) != (v.x, v.y, v.z):
             raise GlueInconsistent(e.to)
     return fam
 
@@ -1126,8 +1140,9 @@ def family_to_json(fam: PLFamily) -> dict:
     }
 
 
-# lengths and whole charts are read by ``trigeo.RationalReader``, which names its
-# own faults and checks the cone and the chart times on integers
+# lengths and whole charts are read by ``trigeo.RationalReader``, one frame per length
+# triple (memo lookups, the cone test on integers, the point); a fault names
+# ("vertex", id) or ("edge", id), joined into text only when it is raised
 FAMILY = {
     "vertices": [{"id": str, "lengths": None}],
     "edges": [{
@@ -1150,12 +1165,12 @@ def _family_from_records(raw: dict) -> PLFamily:
     vl, charts = {}, {}
     for v in raw["vertices"]:
         try:
-            vl[v["id"]] = read.lengths(v["lengths"], f"vertex {v['id']}")
+            vl[v["id"]] = read.lengths(v["lengths"], ("vertex", v["id"]))
         except NotInM as err:
             raise FiberNotInM((v["id"], v["lengths"])) from err
     for e in raw["edges"]:
         try:
-            charts[e["id"]] = read.chart(e["chart"], f"edge {e['id']}")
+            charts[e["id"]] = read.chart(e["chart"], ("edge", e["id"]))
         except NotInM as err:
             raise FiberNotInM((e["id"], e["chart"])) from err
     gf = {e["id"]: e.get("glueFrom", "e") for e in raw["edges"]}

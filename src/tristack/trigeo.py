@@ -125,10 +125,10 @@ class TriangleLengths(OrderedRecord):
     @classmethod
     def _trusted(cls, x: Fraction, y: Fraction, z: Fraction) -> TriangleLengths:
         """The point (x, y, z) without the cone check, for triples known to lie in M."""
-        out = object.__new__(cls)
-        setfield(out, "x", x)
-        setfield(out, "y", y)
-        setfield(out, "z", z)
+        out = _new(cls)
+        _set_x(out, x)
+        _set_y(out, y)
+        _set_z(out, z)
         return out
 
     def astuple(self):
@@ -282,85 +282,97 @@ def isosceles_coordinate(t: TriangleLengths) -> Fraction:
 
 
 # The one accepted text form of an exact rational: an integer or p/q.
-RATIONAL_SHAPE = re.compile(r"[+-]?\d+(/\d+)?")
+RATIONAL_SHAPE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# a point without __init__: the slots' own setters skip the refusing __setattr__
+_new = object.__new__
+_set_x, _set_y, _set_z = TriangleLengths.x.__set__, TriangleLengths.y.__set__, TriangleLengths.z.__set__
 
 
-def rational_from_text(text: str, where: str, error) -> Fraction:
+def _place(where) -> str:
+    """A fault's place: a text, or a (noun, id) pair joined only once something raises."""
+    return where if type(where) is str else f"{where[0]} {where[1]}"
+
+
+def rational_from_text(text: str, where, error) -> Fraction:
     """The rational an integer or 'p/q' text names; anything else raises ``error``."""
     if not RATIONAL_SHAPE.fullmatch(text):
-        raise error(f"{where}: {text!r} is not a rational p/q")
+        raise error(f"{_place(where)}: {text!r} is not a rational p/q")
     num, _, den = text.partition("/")
     try:
         num, den = int(num), int(den or 1)
     except ValueError:  # more digits than the interpreter converts
-        raise error(f"{where}: {text[:16]}... has too many digits") from None
+        raise error(f"{_place(where)}: {text[:16]}... has too many digits") from None
     if den == 0:
-        raise error(f"{where}: {text!r} divides by zero")
+        raise error(f"{_place(where)}: {text!r} divides by zero")
     return Fraction(num, den)
-
-
-def check_chart_times(times, error) -> None:
-    """Raise ``error`` unless the (numerator, denominator) times start at 0, end at 1 and rise strictly."""
-    # a Fraction's denominator is positive and its terms are coprime:
-    # it is 1 exactly when numerator == denominator
-    if not times or times[0][0] != 0 or times[-1][0] != times[-1][1]:
-        raise error("chart must start at 0 and end at 1")
-    for (n0, d0), (n1, d1) in zip(times, times[1:]):
-        if n0 * d1 >= n1 * d0:
-            raise error("chart times must increase strictly")
 
 
 class RationalReader:
     """Reads exact rationals, length triples and charts from JSON values for one load.
 
     Accepted are ints and strings of ``RATIONAL_SHAPE``; floats, bools,
-    decimal and exponent strings raise ``error`` naming ``where`` and the
-    value.  The reader memoises every text it parsed as the ``Fraction``
-    together with its (numerator, denominator) pair, so a length or time
-    repeated across fibers and charts is parsed once per load, and the cone
-    and chart-time checks compare integers; make a new reader for every load.
+    decimal and exponent strings raise ``error`` naming ``where`` (a text,
+    or a (noun, id) pair joined only then) and the value.  Each text is
+    parsed once per load and memoised with its numerator and denominator;
+    make a new reader for every load.  A triple takes one frame: three memo
+    lookups, the cone test on integers, the point set through its slots.
+    ``_entry`` is the one slow path: first-seen texts, JSON ints, faults.
     """
 
     def __init__(self, error):
         self.error = error
-        self._memo = {}  # text -> (Fraction, (numerator, denominator))
+        self._memo = {}  # text -> (Fraction, numerator, denominator)
 
-    def _entry(self, value, where: str) -> tuple:
-        """(q, (numerator, denominator)) of the rational ``value`` names."""
+    def _entry(self, value, where) -> tuple:
+        """(q, numerator, denominator) of the rational ``value`` names."""
         if type(value) is str:
             entry = self._memo.get(value)
             if entry is None:
                 q = rational_from_text(value, where, self.error)
-                entry = self._memo[value] = (q, (q.numerator, q.denominator))
+                entry = self._memo[value] = (q, q.numerator, q.denominator)
             return entry
         if type(value) is int:
-            return Fraction(value), (value, 1)
-        raise self.error(f"{where}: {value!r} is not an integer or a 'p/q' string")
+            return Fraction(value), value, 1
+        raise self.error(f"{_place(where)}: {value!r} is not an integer or a 'p/q' string")
 
-    def rational(self, value, where: str) -> Fraction:
+    def rational(self, value, where) -> Fraction:
         return self._entry(value, where)[0]
 
-    def lengths(self, values, where: str) -> TriangleLengths:
+    def lengths(self, values, where) -> TriangleLengths:
         """A triple of lengths; raises NotInM when it is not interior to M."""
         if not isinstance(values, (list, tuple)) or len(values) != 3:
-            raise self.error(f"{where}: {values!r} is not a triple of lengths")
-        entry = self._entry
-        x, (a, p) = entry(values[0], where)
-        y, (b, q) = entry(values[1], where)
-        z, (c, r) = entry(values[2], where)
-        if not _interior(a, p, b, q, c, r):
+            raise self.error(f"{_place(where)}: {values!r} is not a triple of lengths")
+        (u, v, w), memo = values, self._memo
+        try:  # only texts are memo keys, so a float or a bool never hits an entry
+            (x, a, p), (y, b, q), (z, c, r) = memo[u], memo[v], memo[w]
+        except (KeyError, TypeError):
+            (x, a, p), (y, b, q), (z, c, r) = self._entry(u, where), self._entry(v, where), self._entry(w, where)
+        a, b, c = a * q * r, b * p * r, c * p * q  # _interior's test, inline
+        if not (a + b > c and a + c > b and b + c > a):
             raise NotInM(f"({x}, {y}, {z}) is not an interior triangle triple")
-        return TriangleLengths._trusted(x, y, z)
+        out = _new(TriangleLengths)
+        _set_x(out, x)
+        _set_y(out, y)
+        _set_z(out, z)
+        return out
 
-    def chart(self, points, where: str) -> tuple:
+    def chart(self, points, where) -> tuple:
         """The chart of JSON points ``{"t": time, "lengths": triple}``; reads them all, then checks the times."""
-        entry, lengths = self._entry, self.lengths
-        out, times = [], []
+        memo, lengths, out = self._memo, self.lengths, []
+        n0, d0, rising = -1, 0, True  # (n0, d0) is the last time read; any first time rises past -1/0
         for pt in points:
-            t, nd = entry(pt["t"], where)
-            out.append((t, lengths(pt["lengths"], where)))
-            times.append(nd)
-        check_chart_times(times, self.error)
+            t = pt["t"]
+            try:
+                q, n, d = memo[t]
+            except (KeyError, TypeError):
+                q, n, d = self._entry(t, where)
+            out.append((q, lengths(pt["lengths"], where)))
+            rising = rising and n0 * d < n * d0
+            n0, d0 = n, d
+        if not out or out[0][0] or n0 != d0:  # a Fraction is 1 exactly when n == d
+            raise self.error("chart must start at 0 and end at 1")
+        if not rising:
+            raise self.error("chart times must increase strictly")
         return tuple(out)
 
 

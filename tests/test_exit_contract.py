@@ -61,6 +61,16 @@ def assert_contract(argv):
         assert err == "" and out.startswith("input error: ") and out.count("\n") == 1, (out, err)
 
 
+def assert_input_error(argv, *names):
+    """``main(argv)`` exits 2 with one input error line that contains every name."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code == 2 and err == "" and out.startswith("input error: ") and out.count("\n") == 1, (code, out, err)
+    assert all(name in out for name in names), out
+
+
 def run_file_command(infile, command, doc):
     infile.write_text(json.dumps(doc))
     assert_contract([a.format(f=infile) for a in FILE_COMMANDS[command][1]])
@@ -103,6 +113,28 @@ def test_arbitrary_command_lines(infile, line):
         assert_contract([a.format(f=infile) for a in argv])
     finally:
         os.chdir(cwd)
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b'{"vertices": "\xe9"}', b"\x80"])
+def test_undecodable_files_are_input_errors(tmp_path, command, data):
+    """A file whose bytes are not UTF-8 is malformed input named by its path, not a crash."""
+    infile = tmp_path / "bad.json"
+    infile.write_bytes(data)
+    assert_input_error([a.format(f=infile) for a in FILE_COMMANDS[command][1]], str(infile), "not UTF-8")
+
+
+@pytest.mark.parametrize("args", [["\u0663", "\u0664", "\u0665"], ["3", "4", "\uff15"]])
+def test_classify_takes_ascii_digits_only(args):
+    """Arabic-Indic and full-width digits would name the 3-4-5 triangle to ``int``."""
+    assert_input_error(["classify", *args], "is not a rational p/q")
+
+
+def test_family_file_takes_ascii_digits_only(tmp_path):
+    infile = tmp_path / "fam.json"
+    infile.write_text(json.dumps({"vertices": [{"id": "p", "lengths": ["\u0663/\u0664", "1", "1"]}],
+                                  "edges": []}), encoding="utf-8")
+    assert_input_error(["orientable", str(infile)], "vertex p", "is not a rational p/q")
 
 
 @pytest.mark.parametrize("argv", [

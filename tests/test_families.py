@@ -5,6 +5,7 @@ import pytest
 from tristack.families import (
     INVARIANTS,
     DifferentBase,
+    FamilyError,
     FiberNotInM,
     GlueInconsistent,
     IllTypedMap,
@@ -79,6 +80,17 @@ class TestValidateFamily:
                 glue_from={"l": "e"},
                 glue_to={"l": "(AB)"},
             )
+
+    @pytest.mark.parametrize("label", ["(XY)", "", ["e"], {"e": 1}, None, 0])
+    @pytest.mark.parametrize("end", ["glue_from", "glue_to"])
+    def test_glue_that_is_no_label_is_a_family_error(self, label, end):
+        # one message for a label of any kind, unhashable ones included, on either end
+        t = TriangleLengths(3, 4, 5)
+        glue = {"glue_from": {"e": "e"}, "glue_to": {"e": "e"}}
+        glue[end] = {"e": label}
+        with pytest.raises(FamilyError, match=r"^edge e glue .* is not a permutation label$") as err:
+            family(PATH, {"p": t, "q": t}, {"e": ((F(0), t), (F(1), t))}, **glue)
+        assert type(err.value) is FamilyError and str(err.value) == f"edge e glue {label} is not a permutation label"
 
     def test_json_round_trip(self):
         fam = fixture_mobius()

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from tristack import corpus, deform, families, torsor, trigeo
 from tristack.cli import main
-from tristack.families import FamilyError, _chart_candidates, graph, path_value
+from tristack.families import FamilyError, _chart_candidates, graph, make_chart, path_value
 from tristack.trigeo import PERMS, NotInM, RationalReader, TriangleLengths, act, act_tuple, compose, inverse
 
 F = Fraction
@@ -213,6 +213,100 @@ class TestRationalReader:
             trigeo.parse_lengths("0.5", "1/2", "1/2")
 
 
+# -- the reader's one-frame kernel against the definitions it inlines ----------------
+
+
+@st.composite
+def spelled(draw, q):
+    """One ASCII spelling of the rational q: its own text, an unreduced p/q, a signed one, or a JSON int."""
+    k = draw(st.integers(1, 4))
+    forms = [str(q), f"{q.numerator * k}/{q.denominator * k}"]
+    if q >= 0:
+        forms.append(f"+{q}")
+    if q.denominator == 1:
+        forms.append(q.numerator)
+    return draw(st.sampled_from(forms))
+
+
+small = st.builds(Fraction, st.integers(-12, 40), st.integers(1, 12))
+
+
+@st.composite
+def length_texts(draw):
+    """Three spelled lengths, often on the boundary of M or close to it."""
+    x, y = draw(small), draw(small)
+    z = draw(st.one_of(small, st.sampled_from((x + y, abs(x - y), x + y - F(1, 12), F(0)))))
+    return [draw(spelled(v)) for v in draw(st.permutations((x, y, z)))]
+
+
+@st.composite
+def chart_texts(draw):
+    """Chart points with spelled times: rising from 0 to 1, or disordered, repeated or with wrong ends."""
+    inner = sorted(set(draw(st.lists(st.builds(Fraction, st.integers(1, 11), st.just(12)), max_size=3))))
+    times = [F(0), *inner, F(1)]
+    if draw(st.booleans()):
+        times = draw(st.lists(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(-1), F(2)]), max_size=4))
+    inside = st.sampled_from([(F(3), F(4), F(5)), (F(1, 2), F(1, 2), F(1, 2)), (F(7, 12), F(2, 3), F(1))])
+
+    def lengths():
+        # mostly interior, so that the time checks decide
+        if draw(st.integers(0, 7)):
+            return [draw(spelled(v)) for v in draw(st.permutations(draw(inside)))]
+        return draw(length_texts())
+
+    return [{"t": draw(spelled(t)), "lengths": lengths()} for t in times]
+
+
+def kernel_outcome(make, *args):
+    """What a reader or a constructor does with args: the value it builds, or the type of what it raises."""
+    try:
+        return make(*args)
+    except Exception as err:  # the comparison is of the exception type
+        return type(err)
+
+
+class TestReaderKernel:
+    @HYPOTHESIS
+    @given(length_texts())
+    def test_lengths_is_the_checked_constructor(self, texts):
+        read = RationalReader(FamilyError)
+        want = kernel_outcome(TriangleLengths, *(Fraction(v) for v in texts))
+        # the first read parses every text; the second finds each in the memo
+        for got in (kernel_outcome(read.lengths, texts, "w"), kernel_outcome(read.lengths, texts, "w")):
+            assert got == want
+            if type(want) is TriangleLengths:
+                assert type(got) is TriangleLengths and got.astuple() == want.astuple()
+                assert all(type(v) is Fraction for v in got) and hash(got) == hash(want) and repr(got) == repr(want)
+
+    @HYPOTHESIS
+    @given(chart_texts())
+    def test_chart_is_make_chart(self, points):
+        read = RationalReader(FamilyError)
+        want = kernel_outcome(make_chart, [(Fraction(pt["t"]), [Fraction(v) for v in pt["lengths"]]) for pt in points])
+        for got in (kernel_outcome(read.chart, points, "w"), kernel_outcome(read.chart, points, "w")):
+            assert got == want
+            if type(want) is tuple:
+                assert [(type(t), type(v)) for t, v in got] == [(Fraction, TriangleLengths)] * len(want)
+
+    def test_chart_time_faults_come_after_every_point(self):
+        read = RationalReader(FamilyError)
+        bad_order = [{"t": "1/2", "lengths": ["3", "4", "5"]}, {"t": "0", "lengths": ["1", "1", "2"]}]
+        with pytest.raises(NotInM):
+            read.chart(bad_order, "w")
+        with pytest.raises(FamilyError, match="^chart must start at 0 and end at 1$"):
+            read.chart([], "w")
+        with pytest.raises(FamilyError, match="^chart times must increase strictly$"):
+            read.chart([{"t": t, "lengths": [3, 4, 5]} for t in (0, "1/2", "2/4", 1)], "w")
+
+    def test_a_place_is_joined_only_in_the_message(self):
+        read = RationalReader(FamilyError)
+        assert read.lengths(["3", "4", "5"], ("vertex", "v1")) == TriangleLengths(3, 4, 5)
+        with pytest.raises(FamilyError, match=r"^edge e3: '1/0' divides by zero$"):
+            read.chart([{"t": 0, "lengths": ["3", "4", "1/0"]}], ("edge", "e3"))
+        with pytest.raises(FamilyError, match=r"^vertex v1: \['3', '4'\] is not a triple of lengths$"):
+            read.lengths(["3", "4"], ("vertex", "v1"))
+
+
 FLOAT_FAMILY = {"vertices": [{"id": "p", "lengths": [0.5, "0.5", "5e-1"]}], "edges": []}
 
 
@@ -283,8 +377,14 @@ class TestLoadCounts:
         texts = {s for t in triples for s in t} | {pt["t"] for e in raw["edges"] for pt in e["chart"]}
         assert len(triples) == 2001 + 3000 + 2000
 
-        checks, parses = [], Counter()
-        interior, from_text = trigeo._interior, trigeo.rational_from_text
+        # the reader runs the cone test inline, once per lengths call; the
+        # checked constructor's _interior must not run again on any point
+        reads, checks, parses = [], [], Counter()
+        read_lengths, interior, from_text = RationalReader.lengths, trigeo._interior, trigeo.rational_from_text
+
+        def counting_lengths(self, values, where):
+            reads.append(values)
+            return read_lengths(self, values, where)
 
         def counting_interior(*t):
             checks.append(t)
@@ -294,9 +394,10 @@ class TestLoadCounts:
             parses[text] += 1
             return from_text(text, where, error)
 
+        monkeypatch.setattr(RationalReader, "lengths", counting_lengths)
         monkeypatch.setattr(trigeo, "_interior", counting_interior)
         monkeypatch.setattr(trigeo, "rational_from_text", counting_from_text)
         fam = families.family_from_json(raw)
-        assert len(checks) == len(triples)
+        assert reads == triples and checks == []
         assert set(parses) == texts and max(parses.values()) == 1
         assert families.family_to_json(fam) == raw

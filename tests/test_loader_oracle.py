@@ -7,7 +7,9 @@ check on every triple, and glue compared through validated permuted
 triples.  On valid files the two must give equal families (same dict
 order, same fibers); on corrupted files the same first error, by type and
 arguments.  Inexact text (floats, decimals) is outside this comparison:
-the old loader accepted it and the new one rejects it.
+the old loader accepted it and the new one rejects it.  Those faults, and
+the others the old loader met with bare Python errors, are pinned on
+their own (``TestValueFaults``).
 
 ``oracle_pair_from_json`` is ``torsor.pair_from_json`` as it was before
 ``RationalReader.chart``: every chart point read one by one, then
@@ -16,8 +18,11 @@ the old loader accepted it and the new one rejects it.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from tristack import corpus, families, torsor
 from tristack.families import (
@@ -166,6 +171,70 @@ class TestLoaderOracle:
         assert set(kinds) == set(KINDS)
         assert all(kinds[kind] == {"loaded"} for kind in RESPELLINGS)
         assert all("raised" in statuses for kind, statuses in kinds.items() if kind not in RESPELLINGS)
+
+
+# -- value faults, pinned without the oracle ----------------------------------------------
+# The kinds PAIR_KINDS has and KINDS lacks, each put on a vertex fiber and on
+# a chart point.  The oracle read floats and decimal text, and failed on the
+# rest with bare Python errors, so these outcomes are pinned directly: a
+# FamilyError that names the vertex or edge and the value.  JSON-integer
+# lengths must load, equal to the oracle's family.
+
+VALUE_KINDS = ["float", "bool", "decimal", "zero", "two", "non-list", "ints"]
+BAD_VALUES = {"float": [0.5, 1.0, 0.0, -2.0], "bool": [True, False], "decimal": ["0.5", "1e0", " 1", "3.", "1_0"],
+              "zero": ["1/0", "0/0", "-3/0"]}
+BAD_TRIPLES = {"two": lambda t: t[:2], "non-list": lambda t: "/".join(t)}
+
+
+def integral(raw):
+    """The file with every length multiplied by one integer: still valid, every length an integer text."""
+    triples = [v["lengths"] for v in raw["vertices"]] + [pt["lengths"] for e in raw["edges"] for pt in e["chart"]]
+    scale = math.lcm(*(Fraction(s).denominator for t in triples for s in t))
+    for t in triples:
+        t[:] = [str(Fraction(s) * scale) for s in t]
+    return raw
+
+
+def put_value(rng, raw, kind, on):
+    """Puts a ``kind`` value on one vertex fiber or one chart point; returns the place and the value."""
+    if on == "vertex":
+        v = rng.choice(raw["vertices"])
+        holder, place = v, f"vertex {v['id']}"
+    else:
+        e = rng.choice(raw["edges"])
+        holder, place = rng.choice(e["chart"]), f"edge {e['id']}"
+    if kind == "ints":
+        holder["lengths"] = [int(s) for s in holder["lengths"]]
+        return place, None
+    if kind in BAD_TRIPLES:
+        holder["lengths"] = value = BAD_TRIPLES[kind](holder["lengths"])
+        return place, value
+    value = rng.choice(BAD_VALUES[kind])
+    if on == "point" and rng.random() < 0.5:
+        holder["t"] = value
+    else:
+        holder["lengths"][rng.randrange(3)] = value
+    return place, value
+
+
+class TestValueFaults:
+    def test_value_faults_name_their_place_and_value(self):
+        rng = random.Random(5)
+        files = [raw for raw in corpus_files() if raw["edges"]]
+        seen = set()
+        for _ in range(300):
+            kind, on = rng.choice(VALUE_KINDS), rng.choice(["vertex", "point"])
+            raw = json.loads(json.dumps(rng.choice(files)))
+            place, value = put_value(rng, integral(raw) if kind == "ints" else raw, kind, on)
+            if kind == "ints":
+                assert assert_same_outcome(raw) == "loaded"
+            else:
+                with pytest.raises(FamilyError) as err:
+                    families.family_from_json(raw)
+                assert type(err.value) is FamilyError
+                assert str(err.value).startswith(f"{place}: {value!r} "), (str(err.value), place, value)
+            seen.add((kind, on))
+        assert seen == {(kind, on) for kind in VALUE_KINDS for on in ("vertex", "point")}
 
 
 # -- the torsor-pair loader -------------------------------------------------------------
